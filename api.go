@@ -150,11 +150,11 @@ func WithModality(m Modality) Option {
 }
 
 // Strategy is the type set of the WithStrategy option: either a
-// detection route (StrategyBatch, StrategyReplay — how Detect computes
-// its answer) or a singular algorithm (StrategyAuto, StrategyChainCover,
-// ... — which algorithm decides a cnf predicate). The two namespaces
-// were historically split between WithDetectStrategy and WithStrategy;
-// they now share one option, disambiguated by type at compile time.
+// detection route (StrategyBatch, StrategyReplay, StrategySlice — how
+// Detect computes its answer) or a singular algorithm (StrategyAuto,
+// StrategyChainCover, ... — which algorithm decides a cnf predicate).
+// The two namespaces share one option, disambiguated by type at compile
+// time.
 type Strategy interface {
 	DetectStrategy | SingularStrategy
 }
@@ -208,9 +208,10 @@ type Report struct {
 	// Witness, when non-nil, is a consistent cut satisfying the
 	// predicate. Produced only under ModalityPossibly with
 	// StrategyBatch (by the families whose detectors construct cuts:
-	// all, sum ==, count, xor, levels, inflight ==, cnf, equilevel) or
-	// StrategySlice (the slice bottom, the same least satisfying cut
-	// the batch route constructs).
+	// all, sum under every relop — a scanned path cut for ==, the
+	// extremal closure cut otherwise — count, xor, levels,
+	// inflight ==, cnf, equilevel) or StrategySlice (the slice bottom,
+	// the same least satisfying cut the batch route constructs).
 	Witness Cut
 	// Strategy is the singular algorithm that produced the answer
 	// (FamilyCNF under ModalityPossibly only).

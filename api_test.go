@@ -1,8 +1,8 @@
 package gpd_test
 
 // Agreement tests for the gpd.Detect front door: on random computations,
-// Detect must give the same verdicts as the legacy per-family entry
-// points (and, where no legacy function exists, as the exhaustive
+// Detect must give the same verdicts as the per-family kernels called
+// directly (and, where no direct kernel exists, as the exhaustive
 // generic oracles), across both modalities. Also: grammar round-trips
 // and cross-surface spec equivalence with the streaming wire protocol.
 
@@ -10,9 +10,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	gpd "github.com/distributed-predicates/gpd"
+	"github.com/distributed-predicates/gpd/internal/conjunctive"
+	"github.com/distributed-predicates/gpd/internal/core/relsum"
+	"github.com/distributed-predicates/gpd/internal/core/singular"
+	"github.com/distributed-predicates/gpd/internal/core/symmetric"
 	"github.com/distributed-predicates/gpd/internal/gen"
 	"github.com/distributed-predicates/gpd/internal/stream"
 )
@@ -44,17 +49,17 @@ func TestDetectAgreesConjunctive(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		c := randomComputation(seed)
 		truth := func(e gpd.Event) bool { return c.Var("x", e.ID) != 0 }
-		locals := make(map[gpd.ProcID]gpd.LocalPredicate, c.NumProcs())
+		locals := make(map[gpd.ProcID]conjunctive.LocalPredicate, c.NumProcs())
 		for p := 0; p < c.NumProcs(); p++ {
 			locals[gpd.ProcID(p)] = truth
 		}
-		legacy := gpd.PossiblyConjunctive(c, locals)
-		if rep := detect(t, c, "all(x)", gpd.ModalityPossibly); rep.Holds != legacy.Found {
-			t.Errorf("seed %d: Detect possibly %v, legacy %v", seed, rep.Holds, legacy.Found)
+		kernel := conjunctive.Detect(c, locals)
+		if rep := detect(t, c, "all(x)", gpd.ModalityPossibly); rep.Holds != kernel.Found {
+			t.Errorf("seed %d: Detect possibly %v, kernel %v", seed, rep.Holds, kernel.Found)
 		}
-		legacyDef := gpd.DefinitelyConjunctive(c, locals)
-		if rep := detect(t, c, "all(x)", gpd.ModalityDefinitely); rep.Holds != legacyDef {
-			t.Errorf("seed %d: Detect definitely %v, legacy %v", seed, rep.Holds, legacyDef)
+		kernelDef := conjunctive.DetectDefinitely(c, locals)
+		if rep := detect(t, c, "all(x)", gpd.ModalityDefinitely); rep.Holds != kernelDef {
+			t.Errorf("seed %d: Detect definitely %v, kernel %v", seed, rep.Holds, kernelDef)
 		}
 	}
 }
@@ -66,19 +71,19 @@ func TestDetectAgreesSum(t *testing.T) {
 		for _, rel := range relops {
 			for _, k := range []int64{-2, 0, 2} {
 				pred := fmt.Sprintf("sum(u) %v %d", rel, k)
-				legacy, err := gpd.PossiblySum(c, "u", rel, k)
+				kernel, err := relsum.Possibly(c, "u", rel, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rep := detect(t, c, pred, gpd.ModalityPossibly); rep.Holds != legacy {
-					t.Errorf("seed %d: Possibly(%s): Detect %v, legacy %v", seed, pred, rep.Holds, legacy)
+				if rep := detect(t, c, pred, gpd.ModalityPossibly); rep.Holds != kernel {
+					t.Errorf("seed %d: Possibly(%s): Detect %v, kernel %v", seed, pred, rep.Holds, kernel)
 				}
-				legacyDef, err := gpd.DefinitelySum(c, "u", rel, k)
+				kernelDef, err := relsum.Definitely(c, "u", rel, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rep := detect(t, c, pred, gpd.ModalityDefinitely); rep.Holds != legacyDef {
-					t.Errorf("seed %d: Definitely(%s): Detect %v, legacy %v", seed, pred, rep.Holds, legacyDef)
+				if rep := detect(t, c, pred, gpd.ModalityDefinitely); rep.Holds != kernelDef {
+					t.Errorf("seed %d: Definitely(%s): Detect %v, kernel %v", seed, pred, rep.Holds, kernelDef)
 				}
 			}
 		}
@@ -92,27 +97,27 @@ func TestDetectAgreesSymmetric(t *testing.T) {
 		truth := func(e gpd.Event) bool { return c.Var("x", e.ID) != 0 }
 		cases := []struct {
 			pred string
-			spec gpd.SymmetricSpec
+			spec symmetric.Spec
 		}{
-			{"count(x) >= 2", gpd.SymmetricFromFunc(n, func(m int) bool { return m >= 2 })},
-			{"count(x) == 0", gpd.SymmetricFromFunc(n, func(m int) bool { return m == 0 })},
-			{"xor(x)", gpd.Xor(n)},
-			{"levels(x): 0, 2", gpd.SymmetricSpec{N: n, Levels: []int{0, 2}}},
+			{"count(x) >= 2", symmetric.FromFunc(n, func(m int) bool { return m >= 2 })},
+			{"count(x) == 0", symmetric.FromFunc(n, func(m int) bool { return m == 0 })},
+			{"xor(x)", symmetric.Xor(n)},
+			{"levels(x): 0, 2", symmetric.Spec{N: n, Levels: []int{0, 2}}},
 		}
 		for _, tc := range cases {
-			legacy, _, err := gpd.PossiblySymmetric(c, tc.spec, truth)
+			kernel, _, err := symmetric.Possibly(c, tc.spec, truth)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep := detect(t, c, tc.pred, gpd.ModalityPossibly); rep.Holds != legacy {
-				t.Errorf("seed %d: Possibly(%s): Detect %v, legacy %v", seed, tc.pred, rep.Holds, legacy)
+			if rep := detect(t, c, tc.pred, gpd.ModalityPossibly); rep.Holds != kernel {
+				t.Errorf("seed %d: Possibly(%s): Detect %v, kernel %v", seed, tc.pred, rep.Holds, kernel)
 			}
-			legacyDef, err := gpd.DefinitelySymmetric(c, tc.spec, truth)
+			kernelDef, err := symmetric.Definitely(c, tc.spec, truth)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep := detect(t, c, tc.pred, gpd.ModalityDefinitely); rep.Holds != legacyDef {
-				t.Errorf("seed %d: Definitely(%s): Detect %v, legacy %v", seed, tc.pred, rep.Holds, legacyDef)
+			if rep := detect(t, c, tc.pred, gpd.ModalityDefinitely); rep.Holds != kernelDef {
+				t.Errorf("seed %d: Definitely(%s): Detect %v, kernel %v", seed, tc.pred, rep.Holds, kernelDef)
 			}
 		}
 	}
@@ -128,23 +133,23 @@ func TestDetectAgreesCNF(t *testing.T) {
 		c := randomComputation(seed)
 		truth := func(e gpd.Event) bool { return c.Var("x", e.ID) != 0 }
 
-		p := &gpd.SingularPredicate{}
+		p := &singular.Predicate{}
 		for _, cl := range spec.Clauses {
-			var out gpd.SingularClause
+			var out singular.Clause
 			for _, l := range cl {
-				out = append(out, gpd.SingularLiteral{Proc: gpd.ProcID(l.Proc), Negated: l.Negated})
+				out = append(out, singular.Literal{Proc: gpd.ProcID(l.Proc), Negated: l.Negated})
 			}
 			p.Clauses = append(p.Clauses, out)
 		}
-		legacy, err := gpd.PossiblySingular(c, p, truth, gpd.StrategyAuto)
+		kernel, err := singular.Detect(c, p, truth, gpd.StrategyAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep := detect(t, c, pred, gpd.ModalityPossibly); rep.Holds != legacy.Found {
-			t.Errorf("seed %d: Possibly(%s): Detect %v, legacy %v", seed, pred, rep.Holds, legacy.Found)
+		if rep := detect(t, c, pred, gpd.ModalityPossibly); rep.Holds != kernel.Found {
+			t.Errorf("seed %d: Possibly(%s): Detect %v, kernel %v", seed, pred, rep.Holds, kernel.Found)
 		}
 
-		// No legacy Definitely for CNF: compare against the exhaustive
+		// No direct Definitely kernel for CNF: compare against the exhaustive
 		// oracle evaluating the clauses on each cut's frontier.
 		holds := func(cc *gpd.Computation, k gpd.Cut) bool {
 			front := cc.Frontier(k)
@@ -232,7 +237,7 @@ func TestDetectAgreesInFlight(t *testing.T) {
 func TestDetectWitnessesSatisfy(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		c := randomComputation(seed)
-		for _, pred := range []string{"all(x)", "sum(u) == 0", "count(x) >= 2", "xor(x)"} {
+		for _, pred := range []string{"all(x)", "sum(u) == 0", "sum(u) < 0", "sum(u) >= 1", "sum(u) != 0", "count(x) >= 2", "xor(x)"} {
 			rep := detect(t, c, pred, gpd.ModalityPossibly)
 			if !rep.Holds || rep.Witness == nil {
 				continue
@@ -242,7 +247,7 @@ func TestDetectWitnessesSatisfy(t *testing.T) {
 			case gpd.FamilyConjunctive:
 				ok = c.CountTrue(rep.Witness, func(e gpd.Event) bool { return c.Var("x", e.ID) != 0 }) == c.NumProcs()
 			case gpd.FamilySum:
-				ok = c.SumVar("u", rep.Witness) == rep.Spec.K
+				ok = rep.Spec.Rel.Eval(c.SumVar("u", rep.Witness), rep.Spec.K)
 			case gpd.FamilyCount:
 				m := c.CountTrue(rep.Witness, func(e gpd.Event) bool { return c.Var("x", e.ID) != 0 })
 				ok = rep.Spec.Rel.Eval(int64(m), rep.Spec.K)
@@ -336,44 +341,31 @@ func TestSpecRoundTrip(t *testing.T) {
 // the same canonical Spec the grammar produces, so the online and
 // offline surfaces cannot drift apart.
 func TestStreamSpecMatchesCanonical(t *testing.T) {
-	cases := []struct {
-		wire stream.Spec
-		text string
-	}{
-		{stream.Spec{Kind: stream.Conjunctive, Procs: 3}, "all(x)"},
-		{stream.Spec{Kind: stream.SumEq, Procs: 3, K: 5}, "sum(x) == 5"},
-		{stream.Spec{Kind: stream.Symmetric, Procs: 3, Levels: []int{0, 2}}, "levels(x): 0, 2"},
-	}
-	for _, tc := range cases {
-		got, err := tc.wire.Canonical()
+	for _, text := range []string{"all(x)", "sum(x) == 5", "levels(x): 0, 2", "inflight >= 1"} {
+		wire := stream.Spec{Pred: text, Procs: 3}
+		got, err := wire.Canonical()
 		if err != nil {
-			t.Fatalf("Canonical(%+v): %v", tc.wire, err)
+			t.Fatalf("Canonical(%+v): %v", wire, err)
 		}
-		want, err := gpd.ParseSpec(tc.text)
+		want, err := gpd.ParseSpec(text)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("stream %v: Canonical() = %+v, ParseSpec(%q) = %+v", tc.wire.Kind, got, tc.text, want)
+			t.Errorf("stream pred %q: Canonical() = %+v, ParseSpec = %+v", text, got, want)
 		}
-		if got.String() != tc.text {
-			t.Errorf("stream %v renders %q, want %q", tc.wire.Kind, got.String(), tc.text)
-		}
-		// A wire spec carrying the same canonical grammar string converts
-		// identically — the two encodings cannot drift apart.
-		fromPred := stream.Spec{Pred: tc.text, Procs: tc.wire.Procs}
-		got2, err := fromPred.Canonical()
-		if err != nil {
-			t.Fatalf("Canonical(%+v): %v", fromPred, err)
-		}
-		if !reflect.DeepEqual(got2, want) {
-			t.Errorf("stream pred %q: Canonical() = %+v, want %+v", tc.text, got2, want)
+		if got.String() != text {
+			t.Errorf("stream pred %q renders %q", text, got.String())
 		}
 	}
 	// Family-shape validation is delegated to the canonical spec.
-	bad := stream.Spec{Kind: stream.Symmetric, Procs: 3}
+	bad := stream.Spec{Pred: "cnf(x): (0 | 5)", Procs: 3}
 	if err := bad.Validate(); err == nil {
-		t.Error("symmetric stream spec without levels must fail validation")
+		t.Error("cnf stream spec naming process 5 of 3 must fail validation")
+	}
+	// A spec without a predicate string names the field it lacks.
+	if err := (stream.Spec{Procs: 3}).Validate(); err == nil || !strings.Contains(err.Error(), `"pred"`) {
+		t.Errorf("stream spec without pred: got %v, want an error naming pred", err)
 	}
 }
 

@@ -7,9 +7,10 @@
 //	gpddot -trace ring.json -vars tokens -pred 'sum(tokens) == 1' > witness.dot
 //	dot -Tsvg ring.dot > ring.svg
 //
-// With -pred (same syntax as gpddetect's sum/count forms), the witness
-// cut's frontier is drawn bold and its interior shaded; true events of the
-// named variable are double-circled.
+// With -pred (the predicate grammar shared with gpddetect), the witness
+// cut gpd.Detect constructs is highlighted: its frontier is drawn bold and
+// its interior shaded. True events of the first -vars variable are
+// double-circled.
 package main
 
 import (
@@ -17,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	gpd "github.com/distributed-predicates/gpd"
@@ -35,7 +35,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("gpddot", flag.ContinueOnError)
 	trace := fs.String("trace", "-", "trace file (- for stdin)")
 	vars := fs.String("vars", "", "comma-separated variable names to annotate")
-	pred := fs.String("pred", "", "optional sum()/count() predicate whose witness cut to highlight")
+	pred := fs.String("pred", "", "optional predicate whose witness cut to highlight (e.g. 'sum(x) >= 5')")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -68,63 +68,22 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	return computation.WriteDOT(stdout, c, opts)
 }
 
-// witnessCut evaluates a sum()/count() equality-or-threshold predicate and
-// returns its witness cut.
+// witnessCut decides Possibly(pred) with gpd.Detect and returns the
+// witness cut it constructed.
 func witnessCut(c *gpd.Computation, pred string) (gpd.Cut, error) {
-	name, rel, k, err := parsePred(pred)
+	spec, err := gpd.ParseSpec(pred)
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case strings.HasPrefix(pred, "sum(") && rel == gpd.Eq:
-		ok, cut, err := gpd.PossiblySumWitness(c, name, k)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, fmt.Errorf("predicate %q has no witness", pred)
-		}
-		return cut, nil
-	default:
-		spec := gpd.SymmetricFromFunc(c.NumProcs(), func(m int) bool { return rel.Eval(int64(m), k) })
-		truth := func(e gpd.Event) bool { return c.Var(name, e.ID) != 0 }
-		ok, cut, err := gpd.PossiblySymmetric(c, spec, truth)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, fmt.Errorf("predicate %q has no witness", pred)
-		}
-		return cut, nil
-	}
-}
-
-func parsePred(s string) (string, gpd.Relop, int64, error) {
-	var kind string
-	switch {
-	case strings.HasPrefix(s, "sum("):
-		kind = "sum"
-	case strings.HasPrefix(s, "count("):
-		kind = "count"
-	default:
-		return "", 0, 0, fmt.Errorf("predicate %q must be sum(...) or count(...)", s)
-	}
-	rest := strings.TrimPrefix(s, kind+"(")
-	i := strings.Index(rest, ")")
-	if i < 0 {
-		return "", 0, 0, fmt.Errorf("missing ) in %q", s)
-	}
-	fields := strings.Fields(rest[i+1:])
-	if len(fields) != 2 {
-		return "", 0, 0, fmt.Errorf("want %q", kind+"(v) relop k")
-	}
-	rel, err := gpd.ParseRelop(fields[0])
+	rep, err := gpd.Detect(c, spec)
 	if err != nil {
-		return "", 0, 0, err
+		return nil, err
 	}
-	k, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return "", 0, 0, fmt.Errorf("bad constant %q", fields[1])
+	if !rep.Holds {
+		return nil, fmt.Errorf("predicate %q has no witness: no consistent cut satisfies it", pred)
 	}
-	return rest[:i], rel, k, nil
+	if rep.Witness == nil {
+		return nil, fmt.Errorf("predicate %q holds, but its detector builds no witness cut", pred)
+	}
+	return rep.Witness, nil
 }

@@ -53,6 +53,42 @@ func TestDOTWithCountWitness(t *testing.T) {
 	}
 }
 
+// TestDOTWithSumThresholdWitness: an order predicate on a sum highlights
+// a cut whose sum satisfies it (one process, x = 5 after its only event,
+// so the sum ranges over [0, 5] and only the final cut has sum >= 5).
+func TestDOTWithSumThresholdWitness(t *testing.T) {
+	c := gpd.New()
+	p := c.AddProcess()
+	c.SetVar("x", c.AddInternal(p), 5)
+	if err := c.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	var trace bytes.Buffer
+	if err := gpd.WriteTrace(&trace, c); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-vars", "x", "-pred", "sum(x) >= 5"}, &trace, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "fillcolor=gold") {
+		t.Error("expected highlighted witness frontier")
+	}
+	for _, pred := range []string{"sum(x) >= 5", "sum(x) > 4", "sum(x) < 1", "sum(x) != 0"} {
+		cut, err := witnessCut(c, pred)
+		if err != nil {
+			t.Fatalf("%s: %v", pred, err)
+		}
+		spec, err := gpd.ParseSpec(pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.SumVar("x", cut); !spec.Rel.Eval(got, spec.K) {
+			t.Errorf("%s: witness %v has sum %d", pred, cut, got)
+		}
+	}
+}
+
 func TestDOTBadPredicates(t *testing.T) {
 	for _, pred := range []string{
 		"max(tokens) == 1",

@@ -51,7 +51,7 @@ func TestRunServesAndShutsDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.Open("t", stream.Spec{Kind: stream.Conjunctive, Procs: 2}); err != nil {
+	if err := cl.Open("t", stream.Spec{Pred: "all(x)", Procs: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.Append("t", []stream.Event{
@@ -168,7 +168,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.Open("m", stream.Spec{Kind: stream.Conjunctive, Procs: 2, Retain: true}); err != nil {
+	if err := cl.Open("m", stream.Spec{Pred: "all(x)", Procs: 2, Retain: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.Append("m", []stream.Event{
@@ -282,10 +282,10 @@ func TestTenantsEndpoint(t *testing.T) {
 	defer cl.Close()
 	// acme streams four events, rival two: the ledger must rank and
 	// count them accordingly.
-	if err := cl.Open("a", stream.Spec{Kind: stream.Conjunctive, Procs: 2, Tenant: "acme"}); err != nil {
+	if err := cl.Open("a", stream.Spec{Pred: "all(x)", Procs: 2, Tenant: "acme"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Open("b", stream.Spec{Kind: stream.Conjunctive, Procs: 2, Tenant: "rival"}); err != nil {
+	if err := cl.Open("b", stream.Spec{Pred: "all(x)", Procs: 2, Tenant: "rival"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.Append("a", []stream.Event{
@@ -408,7 +408,7 @@ func TestSLOBreachLoggedAndDumped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.Open("slo", stream.Spec{Kind: stream.Conjunctive, Procs: 2}); err != nil {
+	if err := cl.Open("slo", stream.Spec{Pred: "all(x)", Procs: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.Append("slo", []stream.Event{

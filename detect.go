@@ -1,35 +1,13 @@
 package gpd
 
 import (
-	"github.com/distributed-predicates/gpd/internal/conjunctive"
 	"github.com/distributed-predicates/gpd/internal/core/relsum"
 	"github.com/distributed-predicates/gpd/internal/core/singular"
-	"github.com/distributed-predicates/gpd/internal/core/symmetric"
 )
 
-// LocalPredicate evaluates a process-local predicate at the state
-// following an event.
-type LocalPredicate = conjunctive.LocalPredicate
-
-// ConjunctiveResult is the outcome of conjunctive detection.
-type ConjunctiveResult = conjunctive.Result
-
-// Singular k-CNF predicates (the paper's central objects).
-type (
-	// SingularPredicate is a CNF predicate over boolean variables, one
-	// per process, with no process shared between clauses.
-	SingularPredicate = singular.Predicate
-	// SingularClause is one disjunction of a singular predicate.
-	SingularClause = singular.Clause
-	// SingularLiteral is one (possibly negated) per-process variable.
-	SingularLiteral = singular.Literal
-	// Truth supplies the boolean variable values per event.
-	Truth = singular.Truth
-	// SingularStrategy selects the singular detection algorithm.
-	SingularStrategy = singular.Strategy
-	// SingularResult reports the outcome, witness and work counters.
-	SingularResult = singular.Result
-)
+// SingularStrategy selects the singular detection algorithm of a cnf
+// predicate (see WithStrategy).
+type SingularStrategy = singular.Strategy
 
 // Singular detection strategies.
 const (
@@ -59,13 +37,6 @@ var (
 	// event, outside the scope of the polynomial equality detectors.
 	ErrNotUnitStep = relsum.ErrNotUnitStep
 )
-
-// TruthFromTables adapts per-process boolean tables (indexed by local
-// event index) into a Truth function.
-func TruthFromTables(tables [][]bool) Truth { return singular.TruthFromTables(tables) }
-
-// TruthFromVar reads a named 0/1 variable table of the computation.
-func TruthFromVar(c *Computation, name string) Truth { return singular.TruthFromVar(c, name) }
 
 // Relop is a relational operator for sum predicates.
 type Relop = relsum.Relop
@@ -128,25 +99,3 @@ func DefinitelyWeighted(c *Computation, base int64, w EventWeight, r Relop, k in
 func InFlightRange(c *Computation) (min, max int64) {
 	return relsum.InFlightRange(c)
 }
-
-// SymmetricSpec is a symmetric predicate over per-process booleans,
-// specified by the set of true-counts at which it holds.
-type SymmetricSpec = symmetric.Spec
-
-// Symmetric predicate builders (Section 4.3 of the paper).
-var (
-	// SymmetricFromFunc builds a spec from a predicate on the true-count.
-	SymmetricFromFunc = symmetric.FromFunc
-	// Xor is the exclusive-or of the local predicates (odd parity).
-	Xor = symmetric.Xor
-	// Parity selects odd or even parity.
-	Parity = symmetric.Parity
-	// NoSimpleMajority holds when neither side has a strict majority.
-	NoSimpleMajority = symmetric.NoSimpleMajority
-	// NoTwoThirdsMajority holds when neither side reaches two thirds.
-	NoTwoThirdsMajority = symmetric.NoTwoThirdsMajority
-	// ExactlyK holds when exactly k variables are true.
-	ExactlyK = symmetric.ExactlyK
-	// NotAllEqual holds unless all variables agree.
-	NotAllEqual = symmetric.NotAllEqual
-)

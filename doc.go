@@ -35,39 +35,31 @@
 // streaming wire protocol, so a predicate accepted by one surface is
 // accepted by all of them.
 //
-// # Migration note
-//
-// The per-family entry points that predate Detect — PossiblyConjunctive,
-// DefinitelyConjunctive, PossiblySingular, DefinitelySingular,
-// PossiblySum, PossiblySumWitness, DefinitelySum, PossiblyWeighted,
-// DefinitelyWeighted, PossiblyInFlight, PossiblySymmetric,
-// DefinitelySymmetric and friends — remain supported as thin wrappers
-// over the same internal detectors and are not going away. New code
-// should prefer Detect: it validates the spec against the computation,
-// rejects option combinations the legacy surfaces used to ignore
-// silently, and returns a Report carrying the work accounting (Work) of
-// the run. Reach for the legacy functions when the predicate does not fit
-// the Spec grammar: arbitrary LocalPredicate maps, custom EventWeight
-// functions, SymmetricSpec builders, or programmatic SingularPredicate
-// values.
+// Detect covers every predicate family the grammar expresses. The
+// exhaustive oracles PossiblyGeneric and DefinitelyGeneric decide
+// arbitrary cut predicates, and the range helpers (SumRange,
+// WeightedRange, InFlightRange, PossiblyWeighted, DefinitelyWeighted)
+// take custom EventWeight functions. A boolean that is a function of
+// the state rather than a stored 0/1 variable is first derived into one
+// with Computation.SetVar, then named in a Spec.
 //
 // # What this library provides
 //
 //   - Building and (de)serializing computations: New, ReadTrace, WriteTrace.
 //   - Conjunctive predicates (one local predicate per process):
-//     PossiblyConjunctive, and the online Monitor for live systems.
+//     all(var), with the Garg–Waldecker CPDHB algorithm; the same
+//     detector runs online in the streaming server (cmd/gpdserver).
 //   - Singular k-CNF predicates (Sections 3.1–3.3 of the paper):
-//     PossiblySingular with the polynomial receive-/send-ordered
-//     algorithms and the general-case process-subset and chain-cover
-//     algorithms. Detection is NP-complete in general (Theorem 1); the
-//     hardness construction itself ships in the reduction toolbox used by
-//     cmd/gpdreduce.
-//   - Relational sums x1+...+xn relop k (Section 4): SumRange,
-//     PossiblySum, PossiblySumWitness, DefinitelySum. Possibly(S = k) is
-//     polynomial for unit-step variables and NP-complete otherwise
-//     (Theorem 3).
-//   - Symmetric boolean predicates (Section 4.3): PossiblySymmetric with
-//     builders Xor, NoSimpleMajority, ExactlyK, NotAllEqual, ...
+//     cnf(var) with the polynomial receive-/send-ordered algorithms and
+//     the general-case process-subset and chain-cover algorithms,
+//     selected by WithStrategy. Detection is NP-complete in general
+//     (Theorem 1); the hardness construction itself ships in the
+//     reduction toolbox used by cmd/gpdreduce.
+//   - Relational sums x1+...+xn relop k (Section 4): sum(var) relop k,
+//     and SumRange. Possibly(S = k) is polynomial for unit-step
+//     variables and NP-complete otherwise (Theorem 3).
+//   - Symmetric boolean predicates (Section 4.3): count(var) relop k,
+//     xor(var) and levels(var) by true-count level set.
 //   - Exhaustive oracles PossiblyGeneric and DefinitelyGeneric for
 //     arbitrary predicates (exponential; useful for testing and small
 //     computations).

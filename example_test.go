@@ -28,13 +28,23 @@ func twoFlags() (*gpd.Computation, gpd.ProcID, gpd.ProcID) {
 	return c, p0, p1
 }
 
-func ExamplePossiblyConjunctive() {
-	c, p0, p1 := twoFlags()
-	res := gpd.PossiblyConjunctive(c, map[gpd.ProcID]gpd.LocalPredicate{
-		p0: func(e gpd.Event) bool { return c.Var("flag", e.ID) != 0 },
-		p1: func(e gpd.Event) bool { return c.Var("flag", e.ID) != 0 },
-	})
-	fmt.Println(res.Found)
+// decide parses a predicate and decides it with the front door.
+func decide(c *gpd.Computation, text string, opts ...gpd.Option) gpd.Report {
+	spec, err := gpd.ParseSpec(text)
+	if err != nil {
+		panic(err)
+	}
+	rep, err := gpd.Detect(c, spec, opts...)
+	if err != nil {
+		panic(err)
+	}
+	return rep
+}
+
+func ExampleDetect() {
+	c, _, _ := twoFlags()
+	// Could both flags ever be up at once?
+	fmt.Println(decide(c, "all(flag)").Holds)
 	// Output: false
 }
 
@@ -45,48 +55,31 @@ func ExampleSumRange() {
 	// Output: 0 1
 }
 
-func ExamplePossiblySum() {
+func ExampleDetect_sum() {
 	c, _, _ := twoFlags()
-	ok, err := gpd.PossiblySum(c, "flag", gpd.Eq, 1)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(ok)
-	// Output: true
+	rep := decide(c, "sum(flag) == 1")
+	fmt.Println(rep.Holds, rep.Witness)
+	// Output: true <1,0>
 }
 
-func ExamplePossiblySingular() {
+func ExampleDetect_cnf() {
 	c, p0, p1 := twoFlags()
-	pred := &gpd.SingularPredicate{Clauses: []gpd.SingularClause{
-		{{Proc: p0}, {Proc: p1}}, // flag0 OR flag1
-	}}
-	res, err := gpd.PossiblySingular(c, pred, gpd.TruthFromVar(c, "flag"), gpd.StrategyAuto)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(res.Found, res.Strategy)
+	// flag0 OR flag1, one literal per process.
+	rep := decide(c, fmt.Sprintf("cnf(flag): (%d | %d)", p0, p1))
+	fmt.Println(rep.Holds, rep.Strategy)
 	// Output: true receive-ordered
 }
 
-func ExamplePossiblySymmetric() {
+func ExampleDetect_xor() {
 	c, _, _ := twoFlags()
-	truth := func(e gpd.Event) bool { return c.Var("flag", e.ID) != 0 }
-	ok, _, err := gpd.PossiblySymmetric(c, gpd.Xor(2), truth)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(ok)
+	fmt.Println(decide(c, "xor(flag)").Holds)
 	// Output: true
 }
 
-func ExampleDefinitelySum() {
+func ExampleDetect_definitely() {
 	c, _, _ := twoFlags()
 	// Every run raises exactly one flag at a time at some point.
-	ok, err := gpd.DefinitelySum(c, "flag", gpd.Eq, 1)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(ok)
+	fmt.Println(decide(c, "sum(flag) == 1", gpd.WithModality(gpd.ModalityDefinitely)).Holds)
 	// Output: true
 }
 
@@ -97,13 +90,26 @@ func ExampleInFlightRange() {
 	// Output: 0 1
 }
 
-func ExampleComputeSlice() {
-	c, p0, p1 := twoFlags()
-	flag := func(e gpd.Event) bool { return c.Var("flag", e.ID) != 0 }
-	o := gpd.ConjunctiveSliceOracle(map[gpd.ProcID]func(gpd.Event) bool{p0: flag, p1: flag})
-	_, err := gpd.ComputeSlice(c, o)
-	fmt.Println(err)
-	// Output: slicing: no consistent cut satisfies the predicate
+func ExampleDetect_slice() {
+	c, _, _ := twoFlags()
+	// The slice of all(flag) is empty: no cut has both flags up.
+	fmt.Println(decide(c, "all(flag)", gpd.WithStrategy(gpd.StrategySlice)).Holds)
+	// Output: false
+}
+
+func ExampleDetect_replay() {
+	c := gpd.New()
+	p0 := c.AddProcess()
+	p1 := c.AddProcess()
+	c.SetVar("flag", c.AddInternal(p0), 1)
+	c.SetVar("flag", c.AddInternal(p1), 1)
+	if err := c.Seal(); err != nil {
+		panic(err)
+	}
+	// The incremental detector gpdserver runs online, replayed over a
+	// causal linearization: both flags go up concurrently.
+	fmt.Println(decide(c, "all(flag)", gpd.WithStrategy(gpd.StrategyReplay)).Holds)
+	// Output: true
 }
 
 func ExampleNewSimulator() {
@@ -114,16 +120,6 @@ func ExampleNewSimulator() {
 	}
 	// Token conservation at the final cut.
 	fmt.Println(c.SumVar(gpd.VarTokens, c.FinalCut()))
-	// Output: 2
-}
-
-func ExampleNewMonitor() {
-	m := gpd.NewMonitor(2, []int{0, 1})
-	defer m.Shutdown()
-	m.Probe(0).Internal(true)
-	m.Probe(1).Internal(true)
-	<-m.Detected()
-	fmt.Println(len(m.Witness()))
 	// Output: 2
 }
 

@@ -53,15 +53,18 @@ func run() error {
 		// The detector question: is there ANY consistent cut with two
 		// (or more) processes in the critical section? "count >= 2" is
 		// a symmetric predicate, detected in polynomial time.
-		bad := gpd.SymmetricFromFunc(procs, func(m int) bool { return m >= 2 })
-		found, cut, err := gpd.PossiblySymmetric(c, bad, inCS)
+		spec, err := gpd.ParseSpec("count(" + gpd.VarCS + ") >= 2")
 		if err != nil {
 			return err
 		}
-		if found {
+		rep, err := gpd.Detect(c, spec)
+		if err != nil {
+			return err
+		}
+		if rep.Holds {
 			violations++
 			fmt.Printf("seed %2d: VIOLATION — cut %v has %d processes in the critical section\n",
-				seed, cut, c.CountTrue(cut, inCS))
+				seed, rep.Witness, c.CountTrue(rep.Witness, inCS))
 		} else {
 			fmt.Printf("seed %2d: no violation possible in this computation\n", seed)
 		}

@@ -1,12 +1,14 @@
 // Onlinemonitor: passive online detection of a weak conjunctive predicate
-// in a live system of goroutine "processes" connected to a TCP checker —
-// the Garg–Waldecker monitoring architecture end to end.
+// in a live system of goroutine "processes" streaming to a detection
+// server — the Garg–Waldecker monitoring architecture end to end, served
+// by the same engine and wire protocol as gpdserver.
 //
-// Each worker keeps a vector clock (managed by its probe), piggybacks
-// timestamps on the messages it already exchanges, and reports only its
-// true events to the checker. The checker announces the first consistent
-// global state in which every worker is simultaneously "overloaded",
-// even though no wall-clock observer could have seen it.
+// Each worker keeps a vector clock, piggybacks timestamps on the messages
+// it already exchanges, and appends every event — stamped with its clock
+// and its "overloaded" flag — to one all(overloaded) session over its own
+// TCP connection. The server re-establishes causal order and reports
+// whether some consistent global state had every worker simultaneously
+// overloaded, even though no wall-clock observer could have seen it.
 //
 //	go run ./examples/onlinemonitor
 package main
@@ -16,13 +18,15 @@ import (
 	"log"
 	"math/rand"
 	"sync"
-	"time"
 
-	"github.com/distributed-predicates/gpd/internal/monitor"
+	"github.com/distributed-predicates/gpd/internal/stream"
 	"github.com/distributed-predicates/gpd/internal/vclock"
 )
 
-const nWorkers = 4
+const (
+	nWorkers = 4
+	session  = "overload"
+)
 
 func main() {
 	if err := run(); err != nil {
@@ -31,12 +35,23 @@ func main() {
 }
 
 func run() error {
-	srv, err := monitor.ListenAndServe("127.0.0.1:0", nWorkers, []int{0, 1, 2, 3})
+	eng := stream.NewEngine(stream.Config{Shards: 1})
+	defer eng.Shutdown()
+	srv, err := stream.ListenAndServe("127.0.0.1:0", eng)
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
 	fmt.Printf("checker listening on %s\n", srv.Addr())
+
+	cl, err := stream.Dial(srv.Addr())
+	if err != nil {
+		return err
+	}
+	defer cl.Close()
+	if err := cl.Open(session, stream.Spec{Pred: "all(overloaded)", Procs: nWorkers}); err != nil {
+		return err
+	}
 
 	// Workers exchange "work items" over channels, carrying vector
 	// timestamps, and occasionally become overloaded (their conjunct).
@@ -55,42 +70,46 @@ func run() error {
 		}(w)
 	}
 	wg.Wait()
-	select {
-	case <-srv.Detected():
+
+	verdict, err := cl.CloseSession(session)
+	if err != nil {
+		return err
+	}
+	if verdict.Possibly {
 		fmt.Println("DETECTED: a consistent global state with every worker overloaded")
-		for i, vc := range srv.Witness() {
-			fmt.Printf("  worker %d true event at %v\n", i, vc)
-		}
-	case <-time.After(100 * time.Millisecond):
+	} else {
 		fmt.Println("no simultaneous overload was possible in this run")
 	}
 	return nil
 }
 
 func worker(me int, addr string, chans []chan vclock.VC) error {
-	probe, err := monitor.DialProbe(addr, me, nWorkers)
+	cl, err := stream.Dial(addr)
 	if err != nil {
 		return err
 	}
-	defer probe.Close()
+	defer cl.Close()
+	clock := vclock.NewClock(me, nWorkers)
 	rng := rand.New(rand.NewSource(int64(me) + 7))
 	overloaded := false
+	// report appends one event; the reply carries the session's latched
+	// verdict, so a worker can stop once the checker has its answer.
+	report := func(vc vclock.VC) (bool, error) {
+		return cl.Append(session, []stream.Event{{Proc: me, VC: vc, Truth: overloaded}})
+	}
 	for step := 0; step < 30; step++ {
+		var detected bool
 		switch rng.Intn(4) {
 		case 0: // local work; load flips occasionally
 			overloaded = rng.Intn(2) == 0
-			if err := probe.Internal(overloaded); err != nil {
-				return err
-			}
+			detected, err = report(clock.Event())
 		case 1: // hand work to a random peer
 			to := rng.Intn(nWorkers)
 			if to == me {
 				to = (to + 1) % nWorkers
 			}
-			stamp, err := probe.Send(overloaded)
-			if err != nil {
-				return err
-			}
+			stamp := clock.Send()
+			detected, err = report(stamp)
 			select {
 			case chans[to] <- stamp:
 			default: // peer busy; drop the handoff
@@ -99,17 +118,13 @@ func worker(me int, addr string, chans []chan vclock.VC) error {
 			select {
 			case stamp := <-chans[me]:
 				overloaded = true // new work: definitely busy
-				if err := probe.Receive(stamp, overloaded); err != nil {
-					return err
-				}
+				detected, err = report(clock.Receive(stamp))
 			default:
-				if err := probe.Internal(overloaded); err != nil {
-					return err
-				}
+				detected, err = report(clock.Event())
 			}
 		}
-		if probe.Detected() {
-			return nil // checker already has its answer
+		if err != nil || detected {
+			return err
 		}
 	}
 	return nil

@@ -47,43 +47,50 @@ func run() error {
 	// time? The message forces a2 (where p0's flag is already down)
 	// before b, so the answer is no — even though no single observer
 	// could have checked all interleavings.
-	res := gpd.PossiblyConjunctive(c, map[gpd.ProcID]gpd.LocalPredicate{
-		p0: func(e gpd.Event) bool { return c.Var("flag", e.ID) != 0 },
-		p1: func(e gpd.Event) bool { return c.Var("flag", e.ID) != 0 },
-	})
-	fmt.Printf("Possibly(flag0 and flag1) = %v\n", res.Found)
+	conj, err := detect(c, "all(flag)")
+	if err != nil {
+		return err
+	}
+	fmt.Printf("Possibly(flag0 and flag1) = %v\n", conj.Holds)
 
 	// Question 2 (singular CNF): could at least one flag be up while
-	// the other is not yet past its first step? A disjunctive clause.
-	pred := &gpd.SingularPredicate{Clauses: []gpd.SingularClause{
-		{{Proc: p0}, {Proc: p1}},
-	}}
-	sres, err := gpd.PossiblySingular(c, pred, gpd.TruthFromVar(c, "flag"), gpd.StrategyAuto)
+	// the other is not yet past its first step? A disjunctive clause
+	// over the two processes.
+	sing, err := detect(c, fmt.Sprintf("cnf(flag): (%d | %d)", p0, p1))
 	if err != nil {
 		return err
 	}
 	fmt.Printf("Possibly(flag0 or flag1)  = %v (strategy %v, witness cut %v)\n",
-		sres.Found, sres.Strategy, sres.Cut)
+		sing.Holds, sing.Strategy, sing.Witness)
 
 	// Question 3 (relational sum): the flag count is a unit-step sum,
 	// so Possibly(sum == k) is polynomial. How many flags can be up?
 	min, max := gpd.SumRange(c, "flag")
 	fmt.Printf("flag count over all consistent cuts: min=%d max=%d\n", min, max)
-	ok, cut, err := gpd.PossiblySumWitness(c, "flag", 1)
+	one, err := detect(c, "sum(flag) == 1")
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Possibly(sum flags == 1)  = %v (witness cut %v)\n", ok, cut)
+	fmt.Printf("Possibly(sum flags == 1)  = %v (witness cut %v)\n", one.Holds, one.Witness)
 
 	// Question 4 (modality): does EVERY execution pass through exactly
 	// one raised flag?
-	def, err := gpd.DefinitelySum(c, "flag", gpd.Eq, 1)
+	def, err := detect(c, "sum(flag) == 1", gpd.WithModality(gpd.ModalityDefinitely))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Definitely(sum flags == 1) = %v\n", def)
+	fmt.Printf("Definitely(sum flags == 1) = %v\n", def.Holds)
 
 	// And the size of the search space all of this avoided enumerating:
 	fmt.Printf("consistent cuts in this tiny computation: %d\n", gpd.CountCuts(c))
 	return nil
+}
+
+// detect parses a predicate and decides it with the front door.
+func detect(c *gpd.Computation, text string, opts ...gpd.Option) (gpd.Report, error) {
+	spec, err := gpd.ParseSpec(text)
+	if err != nil {
+		return gpd.Report{}, err
+	}
+	return gpd.Detect(c, spec, opts...)
 }

@@ -43,36 +43,52 @@ func run() error {
 	fmt.Printf("observable token count range: [%d, %d]\n", min, max)
 
 	for k := int64(0); k <= int64(tokens)+1; k++ {
-		poss, err := gpd.PossiblySum(c, gpd.VarTokens, gpd.Eq, k)
+		pred := fmt.Sprintf("sum(%s) == %d", gpd.VarTokens, k)
+		poss, err := detect(c, pred)
 		if err != nil {
 			return err
 		}
-		def, err := gpd.DefinitelySum(c, gpd.VarTokens, gpd.Eq, k)
+		def, err := detect(c, pred, gpd.WithModality(gpd.ModalityDefinitely))
 		if err != nil {
 			return err
 		}
-		fmt.Printf("tokens == %d: possibly=%-5v definitely=%v\n", k, poss, def)
+		fmt.Printf("tokens == %d: possibly=%-5v definitely=%v\n", k, poss.Holds, def.Holds)
 	}
 
 	// Conservation violation check: can the count ever exceed the
 	// number of tokens in the system? (It must not.)
-	over, err := gpd.PossiblySum(c, gpd.VarTokens, gpd.Gt, int64(tokens))
+	over, err := detect(c, fmt.Sprintf("sum(%s) > %d", gpd.VarTokens, tokens))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("conservation violated (count > %d possible): %v\n", tokens, over)
+	fmt.Printf("conservation violated (count > %d possible): %v\n", tokens, over.Holds)
 
 	// The same question expressed as a symmetric predicate on the
-	// boolean "holds at least one token": exactly-k-holders.
-	holders := func(e gpd.Event) bool { return c.Var(gpd.VarTokens, e.ID) > 0 }
-	ok, cut, err := gpd.PossiblySymmetric(c, gpd.ExactlyK(procs, tokens), holders)
+	// boolean "holds at least one token": exactly-k-holders. The
+	// boolean is derived into its own 0/1 variable first.
+	c.Events(func(e gpd.Event) bool {
+		if c.Var(gpd.VarTokens, e.ID) > 0 {
+			c.SetVar("holder", e.ID, 1)
+		}
+		return true
+	})
+	holders, err := detect(c, fmt.Sprintf("count(holder) == %d", tokens))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("some cut with exactly %d token holders: %v", tokens, ok)
-	if ok {
-		fmt.Printf(" (witness %v)", cut)
+	fmt.Printf("some cut with exactly %d token holders: %v", tokens, holders.Holds)
+	if holders.Holds {
+		fmt.Printf(" (witness %v)", holders.Witness)
 	}
 	fmt.Println()
 	return nil
+}
+
+// detect parses a predicate and decides it with the front door.
+func detect(c *gpd.Computation, text string, opts ...gpd.Option) (gpd.Report, error) {
+	spec, err := gpd.ParseSpec(text)
+	if err != nil {
+		return gpd.Report{}, err
+	}
+	return gpd.Detect(c, spec, opts...)
 }

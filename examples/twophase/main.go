@@ -30,11 +30,15 @@ func run() error {
 		return err
 	}
 	// The commit point: every run passes through "all n committed".
-	committed, err := gpd.DefinitelySum(c, gpd.VarCommitted, gpd.Eq, int64(n))
+	spec, err := gpd.ParseSpec(fmt.Sprintf("sum(%s) == %d", gpd.VarCommitted, n))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Definitely(all %d committed) = %v\n", n, committed)
+	committed, err := gpd.Detect(c, spec, gpd.WithModality(gpd.ModalityDefinitely))
+	if err != nil {
+		return err
+	}
+	fmt.Printf("Definitely(all %d committed) = %v\n", n, committed.Holds)
 	if bad, err := mixedDecision(c); err != nil {
 		return err
 	} else {

@@ -12,6 +12,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"strconv"
+	"strings"
 
 	gpd "github.com/distributed-predicates/gpd"
 )
@@ -33,24 +35,30 @@ func run() error {
 	fmt.Printf("%d voters, %d events, %d gossip messages\n",
 		procs, c.NumEvents(), len(c.Messages()))
 
+	// Each question is a symmetric predicate: a set of yes counts at
+	// which it holds.
 	questions := []struct {
 		name string
-		spec gpd.SymmetricSpec
+		pred string
 	}{
-		{"no simple majority (tie)", gpd.NoSimpleMajority(procs)},
-		{"no two-thirds majority", gpd.NoTwoThirdsMajority(procs)},
-		{"exclusive-or (odd yes count)", gpd.Xor(procs)},
-		{"not all votes equal", gpd.NotAllEqual(procs)},
-		{"unanimous yes", gpd.ExactlyK(procs, procs)},
+		{"no simple majority (tie)", levels(procs, func(m int) bool { return 2*m <= procs && 2*(procs-m) <= procs })},
+		{"no two-thirds majority", levels(procs, func(m int) bool { return 3*m < 2*procs && 3*(procs-m) < 2*procs })},
+		{"exclusive-or (odd yes count)", "xor(" + gpd.VarYes + ")"},
+		{"not all votes equal", levels(procs, func(m int) bool { return m != 0 && m != procs })},
+		{"unanimous yes", fmt.Sprintf("count(%s) == %d", gpd.VarYes, procs)},
 	}
 	for _, q := range questions {
-		found, cut, err := gpd.PossiblySymmetric(c, q.spec, yes)
+		spec, err := gpd.ParseSpec(q.pred)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-30s possibly=%v", q.name, found)
-		if found {
-			fmt.Printf("  (witness cut %v, yes count %d)", cut, c.CountTrue(cut, yes))
+		rep, err := gpd.Detect(c, spec)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("%-30s possibly=%v", q.name, rep.Holds)
+		if rep.Holds {
+			fmt.Printf("  (witness cut %v, yes count %d)", rep.Witness, c.CountTrue(rep.Witness, yes))
 		}
 		fmt.Println()
 	}
@@ -60,4 +68,16 @@ func run() error {
 	min, max := gpd.SumRange(c, gpd.VarYes)
 	fmt.Printf("yes-count range over all consistent cuts: [%d, %d] of %d\n", min, max, procs)
 	return nil
+}
+
+// levels renders the symmetric predicate on the yes variable that holds
+// at exactly the yes counts m in [0, n] where holds(m) is true.
+func levels(n int, holds func(m int) bool) string {
+	var ms []string
+	for m := 0; m <= n; m++ {
+		if holds(m) {
+			ms = append(ms, strconv.Itoa(m))
+		}
+	}
+	return fmt.Sprintf("levels(%s): %s", gpd.VarYes, strings.Join(ms, ", "))
 }

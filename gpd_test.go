@@ -28,35 +28,29 @@ func buildDebugScenario(t *testing.T) (*gpd.Computation, gpd.EventID, gpd.EventI
 	return c, a, b
 }
 
+// flagEvents sets the 0/1 variable name to 1 at the given events.
+func flagEvents(c *gpd.Computation, name string, ids ...gpd.EventID) {
+	for _, id := range ids {
+		c.SetVar(name, id, 1)
+	}
+}
+
 func TestPossiblyConjunctivePublic(t *testing.T) {
 	c, a, b := buildDebugScenario(t)
-	res := gpd.PossiblyConjunctive(c, map[gpd.ProcID]gpd.LocalPredicate{
-		0: func(e gpd.Event) bool { return e.ID == a },
-		1: func(e gpd.Event) bool { return e.ID == b },
-	})
-	if res.Found {
+	flagEvents(c, "f", a, b)
+	if detect(t, c, "all(f)", gpd.ModalityPossibly).Holds {
 		t.Fatal("a happened-before b through a2: conjunction must not hold")
 	}
-	res2 := gpd.PossiblyConjunctive(c, map[gpd.ProcID]gpd.LocalPredicate{
-		0: func(e gpd.Event) bool { return e.ID == a },
-		1: func(e gpd.Event) bool { return e.IsInitial() },
-	})
-	if !res2.Found {
+	flagEvents(c, "g", a, c.Initial(1).ID)
+	if !detect(t, c, "all(g)", gpd.ModalityPossibly).Holds {
 		t.Fatal("a is consistent with p1's initial state")
 	}
 }
 
 func TestPossiblySingularPublic(t *testing.T) {
 	c, a, b := buildDebugScenario(t)
-	pred := &gpd.SingularPredicate{Clauses: []gpd.SingularClause{
-		{{Proc: 0}, {Proc: 1}},
-	}}
-	truth := func(e gpd.Event) bool { return e.ID == a || e.ID == b }
-	res, err := gpd.PossiblySingular(c, pred, truth, gpd.StrategyAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Found {
+	flagEvents(c, "f", a, b)
+	if !detect(t, c, "cnf(f): (0 | 1)", gpd.ModalityPossibly).Holds {
 		t.Fatal("disjunction (x0 | x1) holds at the cut through a")
 	}
 }
@@ -76,20 +70,15 @@ func TestSumAPIsPublic(t *testing.T) {
 	if min != 0 || max != 2 {
 		t.Fatalf("SumRange = [%d,%d], want [0,2]", min, max)
 	}
-	ok, err := gpd.PossiblySum(c, "x", gpd.Eq, 1)
-	if err != nil || !ok {
-		t.Fatalf("PossiblySum(=1) = %v, %v", ok, err)
+	rep := detect(t, c, "sum(x) == 1", gpd.ModalityPossibly)
+	if !rep.Holds {
+		t.Fatal("Possibly(sum(x) == 1) must hold")
 	}
-	found, cut, err := gpd.PossiblySumWitness(c, "x", 1)
-	if err != nil || !found {
-		t.Fatalf("PossiblySumWitness = %v, %v", found, err)
-	}
-	if got := c.SumVar("x", cut); got != 1 {
+	if got := c.SumVar("x", rep.Witness); got != 1 {
 		t.Fatalf("witness sum = %d", got)
 	}
-	def, err := gpd.DefinitelySum(c, "x", gpd.Eq, 1)
-	if err != nil || !def {
-		t.Fatalf("DefinitelySum(=1) = %v, %v (every run passes 0->1->2)", def, err)
+	if !detect(t, c, "sum(x) == 1", gpd.ModalityDefinitely).Holds {
+		t.Fatal("Definitely(sum(x) == 1) must hold: every run passes 0->1->2")
 	}
 	if err := gpd.ValidateUnitStep(c, "x"); err != nil {
 		t.Fatal(err)
@@ -107,26 +96,26 @@ func TestUnitStepErrorSurfaced(t *testing.T) {
 	if err := c.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gpd.PossiblySum(c, "x", gpd.Eq, 5); !errors.Is(err, gpd.ErrNotUnitStep) {
+	spec, err := gpd.ParseSpec("sum(x) == 5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gpd.Detect(c, spec); !errors.Is(err, gpd.ErrNotUnitStep) {
 		t.Fatalf("err = %v, want ErrNotUnitStep", err)
 	}
 }
 
 func TestSymmetricPublic(t *testing.T) {
 	c, a, b := buildDebugScenario(t)
-	truth := func(e gpd.Event) bool { return e.ID == a || e.ID == b }
-	ok, cut, err := gpd.PossiblySymmetric(c, gpd.Xor(2), truth)
-	if err != nil || !ok {
-		t.Fatalf("PossiblySymmetric(Xor) = %v, %v", ok, err)
+	flagEvents(c, "f", a, b)
+	rep := detect(t, c, "xor(f)", gpd.ModalityPossibly)
+	if !rep.Holds {
+		t.Fatal("Possibly(xor(f)) must hold")
 	}
-	if cut == nil {
+	if rep.Witness == nil {
 		t.Fatal("expected witness cut")
 	}
-	def, err := gpd.DefinitelySymmetric(c, gpd.Xor(2), truth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !def {
+	if !detect(t, c, "xor(f)", gpd.ModalityDefinitely).Holds {
 		t.Fatal("the flips are ordered, so every run passes through count=1")
 	}
 }
@@ -155,25 +144,42 @@ func TestSimulatorPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, _, err := gpd.PossiblySymmetric(c,
-		gpd.ExactlyK(3, 1),
-		func(e gpd.Event) bool { return c.Var(gpd.VarTokens, e.ID) > 0 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
+	c.Events(func(e gpd.Event) bool {
+		if c.Var(gpd.VarTokens, e.ID) > 0 {
+			c.SetVar("holder", e.ID, 1)
+		}
+		return true
+	})
+	if !detect(t, c, "count(holder) == 1", gpd.ModalityPossibly).Holds {
 		t.Fatal("some cut must show exactly one token holder")
 	}
 }
 
+// TestMonitorPublic reaches the online monitor's detector — the
+// incremental state machine gpdserver runs per session — through the
+// public front door: two processes raising a flag concurrently.
 func TestMonitorPublic(t *testing.T) {
-	m := gpd.NewMonitor(2, []int{0, 1})
-	defer m.Shutdown()
-	m.Probe(0).Internal(true)
-	m.Probe(1).Internal(true)
-	<-m.Detected()
-	if len(m.Witness()) != 2 {
-		t.Fatal("expected a two-process witness")
+	c := gpd.New()
+	p0 := c.AddProcess()
+	p1 := c.AddProcess()
+	c.SetVar("up", c.AddInternal(p0), 1)
+	c.SetVar("up", c.AddInternal(p1), 1)
+	if err := c.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := gpd.ParseSpec("all(up)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := gpd.Detect(c, spec, gpd.WithStrategy(gpd.StrategyReplay))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Holds {
+		t.Fatal("online detector missed two concurrent true events")
+	}
+	if batch := detect(t, c, "all(up)", gpd.ModalityPossibly); !batch.Holds || len(batch.Witness) != 2 {
+		t.Fatalf("batch verdict %v with witness %v, want a two-process witness", batch.Holds, batch.Witness)
 	}
 }
 
@@ -195,21 +201,18 @@ func TestTraceRoundTripPublic(t *testing.T) {
 
 func TestDefinitelySingularPublic(t *testing.T) {
 	c, a, b := buildDebugScenario(t)
-	pred := &gpd.SingularPredicate{Clauses: []gpd.SingularClause{
-		{{Proc: 0}, {Proc: 1}},
-	}}
-	truth := func(e gpd.Event) bool { return e.ID == a || e.ID == b }
+	flagEvents(c, "f", a, b)
 	// Every run passes through a (p0's first event), where the clause holds.
-	ok, err := gpd.DefinitelySingular(c, pred, truth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
+	if !detect(t, c, "cnf(f): (0 | 1)", gpd.ModalityDefinitely).Holds {
 		t.Fatal("the disjunction holds on every run")
 	}
-	// Validation errors surface.
-	bad := &gpd.SingularPredicate{Clauses: []gpd.SingularClause{{{Proc: 0}}, {{Proc: 0}}}}
-	if _, err := gpd.DefinitelySingular(c, bad, truth); err == nil {
+	// Non-singular predicates (a process shared between clauses) are
+	// rejected.
+	spec, err := gpd.ParseSpec("cnf(f): (0) & (0)")
+	if err == nil {
+		_, err = gpd.Detect(c, spec, gpd.WithModality(gpd.ModalityDefinitely))
+	}
+	if err == nil {
 		t.Fatal("non-singular predicate must be rejected")
 	}
 }
@@ -224,18 +227,12 @@ func TestDefinitelyConjunctivePublic(t *testing.T) {
 	if err := c.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	stable := map[gpd.ProcID]gpd.LocalPredicate{
-		p0: func(e gpd.Event) bool { return e.ID == a },
-		p1: func(e gpd.Event) bool { return e.ID == b },
-	}
-	if !gpd.DefinitelyConjunctive(c, stable) {
+	flagEvents(c, "stable", a, b)
+	if !detect(t, c, "all(stable)", gpd.ModalityDefinitely).Holds {
 		t.Fatal("stable conjunction must be definite")
 	}
 	// A conjunct that is never true cannot be definite.
-	never := map[gpd.ProcID]gpd.LocalPredicate{
-		p0: func(gpd.Event) bool { return false },
-	}
-	if gpd.DefinitelyConjunctive(c, never) {
+	if detect(t, c, "all(never)", gpd.ModalityDefinitely).Holds {
 		t.Fatal("never-true conjunct cannot be definite")
 	}
 }

@@ -11,6 +11,12 @@ import (
 	"testing"
 
 	gpd "github.com/distributed-predicates/gpd"
+	"github.com/distributed-predicates/gpd/internal/conjunctive"
+	"github.com/distributed-predicates/gpd/internal/core/relsum"
+	"github.com/distributed-predicates/gpd/internal/core/singular"
+	"github.com/distributed-predicates/gpd/internal/core/symmetric"
+	"github.com/distributed-predicates/gpd/internal/linear"
+	"github.com/distributed-predicates/gpd/internal/slicing"
 )
 
 // roundTrip serializes and reloads a computation.
@@ -42,15 +48,15 @@ func TestDetectorsInvariantUnderSerialization(t *testing.T) {
 				seed, min1, max1, min2, max2)
 		}
 		for k := int64(0); k <= 3; k++ {
-			p1, err1 := gpd.PossiblySum(c, gpd.VarTokens, gpd.Eq, k)
-			p2, err2 := gpd.PossiblySum(c2, gpd.VarTokens, gpd.Eq, k)
+			p1, err1 := relsum.Possibly(c, gpd.VarTokens, relsum.Eq, k)
+			p2, err2 := relsum.Possibly(c2, gpd.VarTokens, relsum.Eq, k)
 			if err1 != nil || err2 != nil || p1 != p2 {
-				t.Fatalf("seed %d k=%d: PossiblySum mismatch (%v/%v, %v/%v)", seed, k, p1, p2, err1, err2)
+				t.Fatalf("seed %d k=%d: relsum.Possibly mismatch (%v/%v, %v/%v)", seed, k, p1, p2, err1, err2)
 			}
-			d1, _ := gpd.DefinitelySum(c, gpd.VarTokens, gpd.Eq, k)
-			d2, _ := gpd.DefinitelySum(c2, gpd.VarTokens, gpd.Eq, k)
+			d1, _ := relsum.Definitely(c, gpd.VarTokens, relsum.Eq, k)
+			d2, _ := relsum.Definitely(c2, gpd.VarTokens, relsum.Eq, k)
 			if d1 != d2 {
-				t.Fatalf("seed %d k=%d: DefinitelySum mismatch", seed, k)
+				t.Fatalf("seed %d k=%d: relsum.Definitely mismatch", seed, k)
 			}
 		}
 	}
@@ -69,22 +75,22 @@ func TestFamilyAgreement(t *testing.T) {
 
 		// "All three in CS simultaneously": conjunctive vs singular
 		// (unit clauses) vs symmetric (count == 3) vs linear vs generic.
-		locals := map[gpd.ProcID]gpd.LocalPredicate{}
-		pred := &gpd.SingularPredicate{}
+		locals := map[gpd.ProcID]conjunctive.LocalPredicate{}
+		pred := &singular.Predicate{}
 		for p := 0; p < 3; p++ {
 			locals[gpd.ProcID(p)] = inCS
-			pred.Clauses = append(pred.Clauses, gpd.SingularClause{{Proc: gpd.ProcID(p)}})
+			pred.Clauses = append(pred.Clauses, singular.Clause{{Proc: gpd.ProcID(p)}})
 		}
-		conj := gpd.PossiblyConjunctive(c, locals).Found
-		sres, err := gpd.PossiblySingular(c, pred, inCS, gpd.StrategyChainCover)
+		conj := conjunctive.Detect(c, locals).Found
+		sres, err := singular.Detect(c, pred, inCS, gpd.StrategyChainCover)
 		if err != nil {
 			t.Fatal(err)
 		}
-		symm, _, err := gpd.PossiblySymmetric(c, gpd.ExactlyK(3, 3), inCS)
+		symm, _, err := symmetric.Possibly(c, symmetric.ExactlyK(3, 3), inCS)
 		if err != nil {
 			t.Fatal(err)
 		}
-		linOK, _ := gpd.PossiblyLinear(c, gpd.LinearConjunctive(map[gpd.ProcID]func(gpd.Event) bool{
+		linOK, _ := linear.Possibly(c, linear.Conjunctive(map[gpd.ProcID]func(gpd.Event) bool{
 			0: inCS, 1: inCS, 2: inCS,
 		}))
 		genOK, _ := gpd.PossiblyGeneric(c, func(cc *gpd.Computation, k gpd.Cut) bool {
@@ -96,12 +102,12 @@ func TestFamilyAgreement(t *testing.T) {
 		}
 
 		// "At least two in CS": symmetric vs generic vs sum.
-		twoSym, _, err := gpd.PossiblySymmetric(c,
-			gpd.SymmetricFromFunc(3, func(m int) bool { return m >= 2 }), inCS)
+		twoSym, _, err := symmetric.Possibly(c,
+			symmetric.FromFunc(3, func(m int) bool { return m >= 2 }), inCS)
 		if err != nil {
 			t.Fatal(err)
 		}
-		twoSum, err := gpd.PossiblySum(c, gpd.VarCS, gpd.Ge, 2)
+		twoSum, err := relsum.Possibly(c, gpd.VarCS, relsum.Ge, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,12 +120,12 @@ func TestFamilyAgreement(t *testing.T) {
 		}
 
 		// Definitely modality: interval algorithm vs generic sweep.
-		defConj := gpd.DefinitelyConjunctive(c, locals)
+		defConj := conjunctive.DetectDefinitely(c, locals)
 		defGen := gpd.DefinitelyGeneric(c, func(cc *gpd.Computation, k gpd.Cut) bool {
 			return cc.CountTrue(k, inCS) == 3
 		})
 		if defConj != defGen {
-			t.Fatalf("seed %d: DefinitelyConjunctive=%v, generic=%v", seed, defConj, defGen)
+			t.Fatalf("seed %d: conjunctive.DetectDefinitely=%v, generic=%v", seed, defConj, defGen)
 		}
 	}
 }
@@ -135,10 +141,10 @@ func TestSliceConsistentWithDetection(t *testing.T) {
 			t.Fatal(err)
 		}
 		flag := func(e gpd.Event) bool { return c.Var(gpd.VarFlag, e.ID) != 0 }
-		locals := map[gpd.ProcID]gpd.LocalPredicate{0: flag, 1: flag, 2: flag}
-		res := gpd.PossiblyConjunctive(c, locals)
-		o := gpd.ConjunctiveSliceOracle(map[gpd.ProcID]func(gpd.Event) bool{0: flag, 1: flag, 2: flag})
-		s, err := gpd.ComputeSlice(c, o)
+		locals := map[gpd.ProcID]conjunctive.LocalPredicate{0: flag, 1: flag, 2: flag}
+		res := conjunctive.Detect(c, locals)
+		o := slicing.ConjunctiveOracle(map[gpd.ProcID]func(gpd.Event) bool{0: flag, 1: flag, 2: flag})
+		s, err := slicing.Compute(c, o)
 		if res.Found {
 			if err != nil {
 				t.Fatalf("seed %d: detector found but slice failed: %v", seed, err)
@@ -162,8 +168,8 @@ func TestCLIQuickPipeline(t *testing.T) {
 	}
 	c2 := roundTrip(t, c)
 	for _, k := range []int64{0, 1, 2, 3, 4, 5} {
-		a, err1 := gpd.PossiblySum(c, gpd.VarYes, gpd.Eq, k)
-		b, err2 := gpd.PossiblySum(c2, gpd.VarYes, gpd.Eq, k)
+		a, err1 := relsum.Possibly(c, gpd.VarYes, relsum.Eq, k)
+		b, err2 := relsum.Possibly(c2, gpd.VarYes, relsum.Eq, k)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -173,7 +179,7 @@ func TestCLIQuickPipeline(t *testing.T) {
 	}
 	// Witness rendering path (exercised via the library, the CLI tests
 	// cover the command itself).
-	ok, cut, err := gpd.PossiblySumWitness(c, gpd.VarYes, 2)
+	ok, cut, err := relsum.PossiblyEqWitness(c, gpd.VarYes, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,6 +132,19 @@ func TestRangeTrackerAgreesWithSumRange(t *testing.T) {
 // TestRangeTrackerArbitrarySteps checks the extrema (not equality
 // detection) also agree for non-unit steps, where SumRange is still exact.
 func TestRangeTrackerArbitrarySteps(t *testing.T) {
+	// No messages: every combination of local states is consistent, so
+	// the extrema add up the per-process extremes.
+	c := computation.New()
+	for _, vals := range [][]int64{{1, -2, 3}, {5, -1}} {
+		p := c.AddProcess()
+		for _, v := range vals {
+			c.SetVar("y", c.AddInternal(p), v)
+		}
+	}
+	c.MustSeal()
+	if min, max := feed(t, c, "y", 0, rand.New(rand.NewSource(1))).Range(); min != -3 || max != 8 {
+		t.Fatalf("unsynchronized tracker range [%d,%d], want [-3,8]", min, max)
+	}
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := gen.Random(gen.Params{Seed: seed, Procs: 3, Events: 6, MsgFrac: 0.5})

@@ -103,6 +103,27 @@ func PossiblyPar(c *computation.Computation, name string, r Relop, k int64, work
 	return possiblyFromRange(c, name, r, k, min, max)
 }
 
+// PossiblyWitnessPar is PossiblyPar that also returns a consistent cut
+// satisfying the predicate when it holds. Equality scans a lattice path
+// for the witness (PossiblyEqWitnessPar); the order operators and !=
+// return the extremal cut the range computation already built: the
+// argmin cut for < and <=, the argmax cut for > and >=, and for != the
+// extremum that differs from k.
+func PossiblyWitnessPar(c *computation.Computation, name string, r Relop, k int64, workers int, tr *obs.Trace) (bool, computation.Cut, error) {
+	if r == Eq {
+		return PossiblyEqWitnessPar(c, name, k, workers, tr)
+	}
+	min, max, argmin, argmax := sumRangeWitnessPar(c, name, workers, tr)
+	ok, err := possiblyFromRange(c, name, r, k, min, max)
+	if !ok || err != nil {
+		return ok, nil, err
+	}
+	if r == Gt || r == Ge || (r == Ne && min == k) {
+		return true, argmax, nil
+	}
+	return true, argmin, nil
+}
+
 // possiblyFromRange applies the Theorem 7(1) range decision shared by
 // the sequential and parallel Possibly routes.
 func possiblyFromRange(c *computation.Computation, name string, r Relop, k, min, max int64) (bool, error) {

@@ -6,12 +6,12 @@ import (
 )
 
 // servingPkgs are the module-relative prefixes of the serving layer:
-// the two network stacks, the multiplexer they fan into, and every
+// the network stack, the multiplexer it fans into, and every
 // binary. A silently dropped I/O error here turns a broken peer into a
 // wedged session (a deadline that never armed, a reply that never
 // flushed) instead of a loud disconnect.
 var servingPkgs = []string{
-	"internal/stream", "internal/monitor", "internal/mux", "cmd", "examples",
+	"internal/stream", "internal/mux", "cmd", "examples",
 }
 
 // AnalyzerErrDrop flags discarded errors on the serving layer's I/O

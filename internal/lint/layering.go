@@ -34,7 +34,7 @@ var layerRules = []layerRule{
 			"internal/conjunctive", "internal/pred", "internal/gen",
 			"internal/par",
 		},
-		Forbid: []string{"internal/stream", "internal/monitor", "std:net", "std:net/http"},
+		Forbid: []string{"internal/stream", "std:net", "std:net/http"},
 		Why:    "theory core stays serving-free",
 	},
 	{
@@ -63,7 +63,7 @@ var layerRules = []layerRule{
 		// the serving stacks and the network are not, which is what
 		// keeps every registered detector replayable offline.
 		Layers: []string{"internal/detect"},
-		Forbid: []string{"internal/stream", "internal/monitor", "std:net", "std:net/http"},
+		Forbid: []string{"internal/stream", "std:net", "std:net/http"},
 		Why:    "the detector kernel stays serving-free",
 	},
 	{
@@ -73,26 +73,15 @@ var layerRules = []layerRule{
 		// lets the routing and projection layer be tested (and reasoned
 		// about) against offline oracles alone.
 		Layers: []string{"internal/mux"},
-		Forbid: []string{"internal/stream", "internal/monitor", "std:net", "std:net/http"},
+		Forbid: []string{"internal/stream", "std:net", "std:net/http"},
 		Why:    "the predicate multiplexer stays transport-free",
-	},
-	{
-		// The two serving stacks are peers, not layers of each other.
-		Layers: []string{"internal/stream"},
-		Forbid: []string{"internal/monitor"},
-		Why:    "stream and monitor are independent serving stacks",
-	},
-	{
-		Layers: []string{"internal/monitor"},
-		Forbid: []string{"internal/stream"},
-		Why:    "stream and monitor are independent serving stacks",
 	},
 }
 
 // AnalyzerLayering enforces the import-graph table above.
 var AnalyzerLayering = &Analyzer{
 	Name: "layering",
-	Doc:  "theory core must not import the serving stack (stream/monitor) or the network",
+	Doc:  "theory core must not import the serving stack (stream) or the network",
 	Run:  runLayering,
 }
 

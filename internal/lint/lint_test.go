@@ -170,7 +170,7 @@ func TestExecSummaryOnFindings(t *testing.T) {
 	if got != ExitFindings {
 		t.Fatalf("exit = %d, want %d", got, ExitFindings)
 	}
-	if !strings.Contains(errOut.String(), "layering 10") {
+	if !strings.Contains(errOut.String(), "layering 9") {
 		t.Errorf("summary missing layering count: %q", errOut.String())
 	}
 }

@@ -8,12 +8,12 @@ import (
 )
 
 // lockOrderPkgs are the module-relative prefixes whose mutexes join the
-// global acquisition graph: the serving stacks and the multiplexer are
+// global acquisition graph: the serving stack and the multiplexer are
 // the only long-lived multi-goroutine layers, and a lock-order cycle
 // between any two of their mutexes is a deadlock waiting for the right
 // interleaving.
 var lockOrderPkgs = []string{
-	"internal/stream", "internal/mux", "internal/monitor", "internal/obs",
+	"internal/stream", "internal/mux", "internal/obs",
 }
 
 // AnalyzerLockOrder builds the global mutex-acquisition graph — an edge

@@ -1,78 +1,150 @@
+// Package monitor holds the acceptance suite for online conjunctive
+// monitoring in the style of Garg–Waldecker: instrumented processes keep
+// online vector clocks and stream every event, stamped, to one
+// all(x) session of the stream engine, which must latch the verdict the
+// moment a consistent cut of the observed prefix makes every local
+// predicate true. The in-process tests drive stream.Engine directly; the
+// TCP tests drive it through stream.ListenAndServe and stream.Dial. The
+// directory holds no library code: the detector under test is the one
+// behind gpdserver.
 package monitor
 
 import (
 	"sync"
 	"testing"
-	"time"
 
+	"github.com/distributed-predicates/gpd/internal/stream"
 	"github.com/distributed-predicates/gpd/internal/vclock"
 )
 
-func waitDetected(t *testing.T, m *Monitor) bool {
+// session is the id of the one monitored application in every test.
+const session = "app"
+
+// probe instruments one monitored process: it ticks the process's online
+// vector clock on every event and hands the stamped event, carrying the
+// local predicate's truth after it, to emit.
+type probe struct {
+	proc  int
+	clock *vclock.Clock
+	emit  func(stream.Event) error
+}
+
+func (p *probe) report(stamp vclock.VC, truth bool) error {
+	return p.emit(stream.Event{Proc: p.proc, VC: stamp, Truth: truth})
+}
+
+// Internal reports a local event.
+func (p *probe) Internal(truth bool) error { return p.report(p.clock.Event(), truth) }
+
+// Send reports a send event and returns the timestamp the message carries.
+func (p *probe) Send(truth bool) (vclock.VC, error) {
+	stamp := p.clock.Send()
+	return stamp.Clone(), p.report(stamp, truth)
+}
+
+// Receive reports the delivery of a message stamped stamp.
+func (p *probe) Receive(stamp vclock.VC, truth bool) error {
+	return p.report(p.clock.Receive(stamp), truth)
+}
+
+// newMonitor starts an engine with one conjunctive session over n
+// processes (the involved ones carry a local predicate) and returns it
+// with one in-process probe per process.
+func newMonitor(t *testing.T, n int, involved []int) (*stream.Engine, []*probe) {
 	t.Helper()
-	select {
-	case <-m.Detected():
-		return true
-	case <-time.After(2 * time.Second):
-		return false
+	e := stream.NewEngine(stream.Config{Shards: 1})
+	if err := e.Open(session, stream.Spec{Pred: "all(x)", Procs: n, Involved: involved, Retain: true}); err != nil {
+		e.Shutdown()
+		t.Fatal(err)
+	}
+	probes := make([]*probe, n)
+	for p := range probes {
+		probes[p] = &probe{proc: p, clock: vclock.NewClock(p, n), emit: func(ev stream.Event) error {
+			return e.Append(session, []stream.Event{ev})
+		}}
+	}
+	return e, probes
+}
+
+// detected flushes the session (every append made so far is delivered
+// before the query runs) and returns its latched verdict.
+func detected(t *testing.T, e *stream.Engine) bool {
+	t.Helper()
+	st, err := e.Query(session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Error != "" {
+		t.Fatalf("session failed: %s", st.Error)
+	}
+	return st.Possibly
+}
+
+// closeVerdict finalizes the session and returns its verdict.
+func closeVerdict(t *testing.T, e *stream.Engine) stream.Verdict {
+	t.Helper()
+	v, err := e.CloseSession(session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+func must(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestDetectsConcurrentTrueEvents(t *testing.T) {
-	m := New(2, []int{0, 1})
-	defer m.Shutdown()
-	p0 := m.Probe(0)
-	p1 := m.Probe(1)
-	p0.Internal(true)
-	p1.Internal(true)
-	if !waitDetected(t, m) {
+	e, p := newMonitor(t, 2, []int{0, 1})
+	defer e.Shutdown()
+	must(t, p[0].Internal(true))
+	must(t, p[1].Internal(true))
+	if !detected(t, e) {
 		t.Fatal("concurrent true events not detected")
 	}
-	w := m.Witness()
-	if len(w) != 2 {
-		t.Fatalf("witness = %v", w)
+	// Both processes end true: every run passes through the final cut.
+	if v := closeVerdict(t, e); !v.Possibly || !v.DefinitelyKnown || !v.Definitely {
+		t.Fatalf("close verdict %+v, want possibly and definitely", v)
 	}
 }
 
 func TestDoesNotDetectOrderedTrueEvents(t *testing.T) {
-	m := New(2, []int{0, 1})
-	defer m.Shutdown()
-	p0 := m.Probe(0)
-	p1 := m.Probe(1)
-	// p0 is true only before sending; p1 true only after receiving and
-	// then a later local event on p0's side invalidates... Construct:
+	e, p := newMonitor(t, 2, []int{0, 1})
+	defer e.Shutdown()
 	// p0 true event, then p0 sends; p1 receives, then p1 true event.
 	// The receive knows of 2 events on p0 > the true event's 1: the
 	// pair is inconsistent and nothing else is true.
-	p0.Internal(true)
-	stamp := p0.Send(false)
-	p1.Receive(stamp, false)
-	p1.Internal(true)
-	// Give the checker a moment.
-	time.Sleep(50 * time.Millisecond)
-	select {
-	case <-m.Detected():
+	must(t, p[0].Internal(true))
+	stamp, err := p[0].Send(false)
+	must(t, err)
+	must(t, p[1].Receive(stamp, false))
+	must(t, p[1].Internal(true))
+	if detected(t, e) {
 		t.Fatal("ordered true events must not be detected")
-	default:
 	}
-	if m.Witness() != nil {
-		t.Fatal("witness must be nil")
+	if v := closeVerdict(t, e); v.Possibly {
+		t.Fatalf("close verdict %+v, want not possibly", v)
 	}
 }
 
 func TestDetectsAfterElimination(t *testing.T) {
-	m := New(2, []int{0, 1})
-	defer m.Shutdown()
-	p0 := m.Probe(0)
-	p1 := m.Probe(1)
+	e, p := newMonitor(t, 2, []int{0, 1})
+	defer e.Shutdown()
 	// First p0 true event is superseded (p1 has seen past it), but a
 	// second, concurrent one completes the conjunction.
-	p0.Internal(true)
-	stamp := p0.Send(false)
-	p1.Receive(stamp, false)
-	p1.Internal(true)
-	p0.Internal(true)
-	if !waitDetected(t, m) {
+	must(t, p[0].Internal(true))
+	stamp, err := p[0].Send(false)
+	must(t, err)
+	must(t, p[1].Receive(stamp, false))
+	must(t, p[1].Internal(true))
+	if detected(t, e) {
+		t.Fatal("detected before the fresh true event")
+	}
+	must(t, p[0].Internal(true))
+	if !detected(t, e) {
 		t.Fatal("fresh concurrent true event not detected")
 	}
 }
@@ -82,8 +154,8 @@ func TestConcurrentProcessesGoroutines(t *testing.T) {
 	// channels; each becomes true once. All true events are concurrent
 	// (no messages between the flips), so detection must fire.
 	const n = 3
-	m := New(n, []int{0, 1, 2})
-	defer m.Shutdown()
+	e, probes := newMonitor(t, n, []int{0, 1, 2})
+	defer e.Shutdown()
 	chans := make([]chan vclock.VC, n)
 	for i := range chans {
 		chans[i] = make(chan vclock.VC, n)
@@ -91,88 +163,54 @@ func TestConcurrentProcessesGoroutines(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(me int) {
+		go func(pr *probe) {
 			defer wg.Done()
-			pr := m.Probe(me)
-			pr.Internal(false)
-			pr.Internal(true) // the conjunct flips true
+			if err := pr.Internal(false); err != nil {
+				t.Error(err)
+			}
+			if err := pr.Internal(true); err != nil { // the conjunct flips true
+				t.Error(err)
+			}
 			// Then gossip to everyone (after the true events, so the
 			// true states remain pairwise consistent).
-			stamp := pr.Send(true)
+			stamp, err := pr.Send(true)
+			if err != nil {
+				t.Error(err)
+			}
 			for j := 0; j < n; j++ {
-				if j != me {
+				if j != pr.proc {
 					chans[j] <- stamp
 				}
 			}
 			for j := 0; j < n-1; j++ {
-				pr.Receive(<-chans[me], true)
+				if err := pr.Receive(<-chans[pr.proc], true); err != nil {
+					t.Error(err)
+				}
 			}
-		}(i)
+		}(probes[i])
 	}
 	wg.Wait()
-	if !waitDetected(t, m) {
+	if !detected(t, e) {
 		t.Fatal("conjunction not detected in goroutine run")
 	}
-	w := m.Witness()
-	if len(w) != 3 {
-		t.Fatalf("witness = %v", w)
-	}
-	// Witness must be pairwise consistent: no component observed past
-	// another's own component.
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if i != j && w[j][i] > w[i][i] {
-				t.Fatalf("witness not consistent: w[%d]=%v has seen past w[%d]=%v", j, w[j], i, w[i])
-			}
-		}
-	}
-}
-
-func TestShutdownUnblocksProbes(t *testing.T) {
-	m := New(1, []int{0})
-	p0 := m.Probe(0)
-	m.Shutdown()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 100; i++ {
-			p0.Internal(true) // must not block after shutdown
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("probe blocked after shutdown")
-	}
-}
-
-func TestWitnessIsCopy(t *testing.T) {
-	m := New(2, []int{0, 1})
-	defer m.Shutdown()
-	m.Probe(0).Internal(true)
-	m.Probe(1).Internal(true)
-	if !waitDetected(t, m) {
-		t.Fatal("not detected")
-	}
-	w := m.Witness()
-	w[0][0] = 99
-	if m.Witness()[0][0] == 99 {
-		t.Fatal("Witness must return a copy")
+	st, err := e.Query(session)
+	must(t, err)
+	if st.Delivered != 5*n || st.Holdback != 0 {
+		t.Fatalf("delivered %d events with %d held back, want %d and 0", st.Delivered, st.Holdback, 5*n)
 	}
 }
 
 func TestProbeSendCarriesTruth(t *testing.T) {
-	m := New(2, []int{0, 1})
-	defer m.Shutdown()
-	p0 := m.Probe(0)
-	p1 := m.Probe(1)
+	e, p := newMonitor(t, 2, []int{0, 1})
+	defer e.Shutdown()
 	// A true SEND event must be reported like any other true event. The
 	// sender's state remains true while the message is in flight, so it
 	// is consistent with the receiver's post-delivery true state: the
 	// conjunction must be detected.
-	stamp := p0.Send(true)
-	p1.Receive(stamp, true)
-	if !waitDetected(t, m) {
+	stamp, err := p[0].Send(true)
+	must(t, err)
+	must(t, p[1].Receive(stamp, true))
+	if !detected(t, e) {
 		t.Fatal("send-reported truth did not participate in detection")
 	}
 }

@@ -1,25 +1,106 @@
+// Package relmon holds the acceptance suite for online relational-sum
+// monitoring (Section 4 of the paper run incrementally): processes keep
+// online vector clocks and stream each change of their variable x to
+// stream sessions deciding sum(x) relop k, whose verdicts must agree
+// with the offline extrema of x0 + ... + xn over the consistent cuts.
+// The directory holds no library code: the detector under test is the
+// sum detector every stream session resolves from the registry.
 package relmon
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"github.com/distributed-predicates/gpd/internal/computation"
 	"github.com/distributed-predicates/gpd/internal/core/relsum"
+	"github.com/distributed-predicates/gpd/internal/stream"
 	"github.com/distributed-predicates/gpd/internal/vclock"
 )
 
-// replay streams a random two-process computation through the monitor in
-// a random linearization, with online vector clocks, and returns the
-// monitor.
-func replay(t *testing.T, rng *rand.Rand, c *computation.Computation) *SumMonitor {
+// monitor runs one stream session per predicate over the same event
+// stream.
+type monitor struct {
+	preds    []string
+	sessions []*stream.Session
+}
+
+func newMonitor(t *testing.T, procs int, init []int64, preds ...string) *monitor {
 	t.Helper()
-	m := NewSumMonitor()
+	m := &monitor{preds: preds}
+	for _, p := range preds {
+		s, err := stream.NewSession(stream.Spec{Pred: p, Procs: procs, Init: init})
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		m.sessions = append(m.sessions, s)
+	}
+	return m
+}
+
+// Observe reports that process p's variable holds val after the event
+// stamped stamp.
+func (m *monitor) Observe(t *testing.T, p int, val int64, stamp vclock.VC) {
+	t.Helper()
+	for i, s := range m.sessions {
+		if err := s.Step(stream.Event{Proc: p, VC: stamp, Val: val}); err != nil {
+			t.Fatalf("%s: %v", m.preds[i], err)
+		}
+	}
+}
+
+// Flush brings every session's detector up to date.
+func (m *monitor) Flush() {
+	for _, s := range m.sessions {
+		s.Flush()
+	}
+}
+
+// Verdicts finalizes every session and returns its Possibly verdict by
+// predicate.
+func (m *monitor) Verdicts(t *testing.T) map[string]bool {
+	t.Helper()
+	out := make(map[string]bool, len(m.preds))
+	for i, s := range m.sessions {
+		v, err := s.Finalize()
+		if err != nil {
+			t.Fatalf("%s: %v", m.preds[i], err)
+		}
+		out[m.preds[i]] = v.Possibly
+	}
+	return out
+}
+
+// rangePreds are the predicates pinning [min, max] as the exact range of
+// sum(x): every equality from min-1 to max+1 and the four strict and
+// non-strict bounds, with the verdict each must reach.
+func rangePreds(min, max int64) map[string]bool {
+	want := map[string]bool{
+		fmt.Sprintf("sum(x) < %d", min):  false,
+		fmt.Sprintf("sum(x) <= %d", min): true,
+		fmt.Sprintf("sum(x) > %d", max):  false,
+		fmt.Sprintf("sum(x) >= %d", max): true,
+	}
+	for k := min - 1; k <= max+1; k++ {
+		want[fmt.Sprintf("sum(x) == %d", k)] = k >= min && k <= max
+	}
+	return want
+}
+
+func keys(m map[string]bool) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	return out
+}
+
+// replay streams a random two-process computation through m in a random
+// linearization, stamping events with online vector clocks.
+func replay(t *testing.T, rng *rand.Rand, c *computation.Computation, m *monitor) {
+	t.Helper()
 	clocks := []*vclock.Clock{vclock.NewClock(0, 2), vclock.NewClock(1, 2)}
 	stampOf := make(map[computation.EventID]vclock.VC)
-	// Initial states first (zero clocks are fine: nothing is known).
-	m.Observe(0, c.Var("x", c.Initial(0).ID), clocks[0].Now())
-	m.Observe(1, c.Var("x", c.Initial(1).ID), clocks[1].Now())
 	k := c.InitialCut()
 	for !k.Equal(c.FinalCut()) {
 		en := c.Enabled(k)
@@ -42,10 +123,12 @@ func replay(t *testing.T, rng *rand.Rand, c *computation.Computation) *SumMonito
 			stamp = clocks[int(e.Proc)].Event()
 		}
 		stampOf[id] = stamp
-		m.Observe(int(e.Proc), c.Var("x", id), stamp)
+		m.Observe(t, int(e.Proc), c.Var("x", id), stamp)
+		if rng.Intn(3) == 0 {
+			m.Flush()
+		}
 		k = c.Execute(k, e.Proc)
 	}
-	return m
 }
 
 func randomTwoProc(rng *rand.Rand) *computation.Computation {
@@ -77,86 +160,70 @@ func TestOnlineMatchesOfflineSumRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(457))
 	for trial := 0; trial < 200; trial++ {
 		c := randomTwoProc(rng)
-		m := replay(t, rng, c)
-		if !m.Known() {
-			t.Fatalf("trial %d: no consistent pair observed", trial)
-		}
 		wantMin, wantMax := relsum.SumRange(c, "x")
-		if m.Min() != wantMin || m.Max() != wantMax {
-			t.Fatalf("trial %d: online [%d,%d], offline [%d,%d]",
-				trial, m.Min(), m.Max(), wantMin, wantMax)
-		}
-		for k := wantMin - 1; k <= wantMax+1; k++ {
-			want := k >= wantMin && k <= wantMax
-			if got := m.PossiblyEq(k); got != want {
-				t.Fatalf("trial %d: PossiblyEq(%d) = %v, want %v", trial, k, got, want)
+		want := rangePreds(wantMin, wantMax)
+		init := []int64{c.Var("x", c.Initial(0).ID), c.Var("x", c.Initial(1).ID)}
+		m := newMonitor(t, 2, init, keys(want)...)
+		replay(t, rng, c, m)
+		for p, got := range m.Verdicts(t) {
+			if got != want[p] {
+				t.Fatalf("trial %d: online %s = %v, offline range [%d,%d]", trial, p, got, wantMin, wantMax)
 			}
 		}
 	}
 }
 
 func TestPruningBoundsMemory(t *testing.T) {
-	// A tightly synchronized ping-pong: the queues must stay small even
-	// after many observations.
-	m := NewSumMonitor()
+	// A tightly synchronized ping-pong: the detector window must stay
+	// small even after many observations. The values jump by more than
+	// one, so the predicate is a bound (equality needs unit steps).
+	m := newMonitor(t, 2, []int64{0, 0}, "sum(x) > 100")
+	s := m.sessions[0]
 	c0 := vclock.NewClock(0, 2)
 	c1 := vclock.NewClock(1, 2)
-	m.Observe(0, 0, c0.Now())
-	m.Observe(1, 0, c1.Now())
+	maxWindow := 0
 	for round := 0; round < 500; round++ {
-		s := c0.Send()
-		m.Observe(0, int64(round%2), s)
-		r := c1.Receive(s)
-		m.Observe(1, int64(round%3), r)
-		s2 := c1.Send()
-		m.Observe(1, 0, s2)
-		r2 := c0.Receive(s2)
-		m.Observe(0, 0, r2)
+		snd := c0.Send()
+		m.Observe(t, 0, int64(round%2), snd)
+		m.Observe(t, 1, int64(round%3), c1.Receive(snd))
+		snd2 := c1.Send()
+		m.Observe(t, 1, 0, snd2)
+		m.Observe(t, 0, 0, c0.Receive(snd2))
+		m.Flush()
+		if w := s.Window(); w > maxWindow {
+			maxWindow = w
+		}
 	}
-	stored, pruned := m.Stats()
-	if stored > 8 {
-		t.Fatalf("stored %d states; pruning broken", stored)
+	if maxWindow > 8 {
+		t.Fatalf("window reached %d states; pruning broken", maxWindow)
 	}
-	if pruned < 1000 {
-		t.Fatalf("pruned only %d states over 2000 observations", pruned)
+	if pruned := s.Delivered() - int64(s.Window()); pruned < 1000 {
+		t.Fatalf("pruned only %d states over %d observations", pruned, s.Delivered())
+	}
+	if m.Verdicts(t)["sum(x) > 100"] {
+		t.Fatal("sum never exceeds 3, yet sum(x) > 100 was detected")
 	}
 }
 
 func TestUnsynchronizedKeepsAll(t *testing.T) {
 	// With no messages everything is concurrent: every pair is
 	// consistent and min/max must span all combinations.
-	m := NewSumMonitor()
+	want := map[string]bool{
+		"sum(x) <= -3": true, "sum(x) < -3": false, // -2 + -1
+		"sum(x) >= 8": true, "sum(x) > 8": false, // 3 + 5
+	}
+	m := newMonitor(t, 2, []int64{0, 0}, keys(want)...)
 	c0 := vclock.NewClock(0, 2)
 	c1 := vclock.NewClock(1, 2)
-	m.Observe(0, 0, c0.Now())
-	m.Observe(1, 0, c1.Now())
-	vals0 := []int64{1, -2, 3}
-	vals1 := []int64{5, -1}
-	for _, v := range vals0 {
-		m.Observe(0, v, c0.Event())
+	for _, v := range []int64{1, -2, 3} {
+		m.Observe(t, 0, v, c0.Event())
 	}
-	for _, v := range vals1 {
-		m.Observe(1, v, c1.Event())
+	for _, v := range []int64{5, -1} {
+		m.Observe(t, 1, v, c1.Event())
 	}
-	if m.Min() != -3 { // -2 + -1
-		t.Errorf("Min = %d, want -3", m.Min())
-	}
-	if m.Max() != 8 { // 3 + 5
-		t.Errorf("Max = %d, want 8", m.Max())
-	}
-}
-
-func TestKnownBeforeAnyPair(t *testing.T) {
-	m := NewSumMonitor()
-	if m.Known() {
-		t.Fatal("empty monitor cannot know anything")
-	}
-	if m.PossiblyEq(0) {
-		t.Fatal("PossiblyEq must be false before any pair")
-	}
-	c0 := vclock.NewClock(0, 2)
-	m.Observe(0, 1, c0.Now())
-	if m.Known() {
-		t.Fatal("a single process state forms no pair")
+	for p, got := range m.Verdicts(t) {
+		if got != want[p] {
+			t.Errorf("%s = %v, want %v", p, got, want[p])
+		}
 	}
 }

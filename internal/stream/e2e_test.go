@@ -26,19 +26,8 @@ type e2eJob struct {
 	checkDef bool
 }
 
-// specLabel names a spec for test failures: the grammar string when the
-// session was opened with one, the legacy kind otherwise.
-func specLabel(sp Spec) string {
-	if sp.Pred != "" {
-		return sp.Pred
-	}
-	return sp.Kind.String()
-}
-
 // makeJobs builds n jobs cycling through the four streaming predicate
-// families, computing oracle verdicts with the offline detectors. The
-// inflight jobs open their sessions with a canonical grammar string —
-// the family the legacy numeric kinds never had.
+// families, computing oracle verdicts with the offline detectors.
 func makeJobs(t *testing.T, n int) []e2eJob {
 	t.Helper()
 	jobs := make([]e2eJob, 0, n)
@@ -60,7 +49,7 @@ func makeJobs(t *testing.T, n int) []e2eJob {
 					return e.Index < len(row) && row[e.Index]
 				}
 			}
-			j.spec = Spec{Kind: Conjunctive, Procs: np, Retain: true}
+			j.spec = Spec{Pred: "all(x)", Procs: np, Retain: true}
 			j.events = TableTrace(c, truth)
 			j.wantPos = conjunctive.DetectTables(c, truth).Found
 			j.wantDef = conjunctive.DetectDefinitely(c, locals)
@@ -69,7 +58,7 @@ func makeJobs(t *testing.T, n int) []e2eJob {
 			events, init := SumTrace(c, varName)
 			lo, hi := relsum.SumRange(c, varName)
 			k := lo + seed%(hi-lo+2)
-			j.spec = Spec{Kind: SumEq, Procs: np, K: k, Init: init, Retain: true}
+			j.spec = Spec{Pred: sumEqPred(k), Procs: np, Init: init, Retain: true}
 			j.events = events
 			var err error
 			if j.wantPos, err = relsum.Possibly(c, varName, relsum.Eq, k); err != nil {
@@ -83,7 +72,7 @@ func makeJobs(t *testing.T, n int) []e2eJob {
 			events, init := BoolTrace(c, varName)
 			sp := symmetric.NotAllEqual(np)
 			truth := func(e computation.Event) bool { return c.Var(varName, e.ID) != 0 }
-			j.spec = Spec{Kind: Symmetric, Procs: np, Levels: sp.Levels, Init: init, Retain: true}
+			j.spec = Spec{Pred: levelsPred(sp.Levels), Procs: np, Init: init, Retain: true}
 			j.events = events
 			var err error
 			if j.wantPos, _, err = symmetric.Possibly(c, sp, truth); err != nil {
@@ -158,11 +147,11 @@ func TestServe64ConcurrentSessions(t *testing.T) {
 			}
 			if verdict.Possibly != j.wantPos {
 				errs <- fmt.Errorf("%s (%s): Possibly=%v, oracle=%v",
-					j.id, specLabel(j.spec), verdict.Possibly, j.wantPos)
+					j.id, j.spec.Pred, verdict.Possibly, j.wantPos)
 			}
 			if j.checkDef && (!verdict.DefinitelyKnown || verdict.Definitely != j.wantDef) {
 				errs <- fmt.Errorf("%s (%s): Definitely=%v (known=%v), oracle=%v",
-					j.id, specLabel(j.spec), verdict.Definitely, verdict.DefinitelyKnown, j.wantDef)
+					j.id, j.spec.Pred, verdict.Definitely, verdict.DefinitelyKnown, j.wantDef)
 			}
 		}(jobs[i], int64(i))
 	}
@@ -230,7 +219,7 @@ func TestServerRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.Open("ok", Spec{Kind: Conjunctive, Procs: 1}); err != nil {
+	if err := cl.Open("ok", Spec{Pred: "all(x)", Procs: 1}); err != nil {
 		t.Fatalf("healthy client after garbage: %v", err)
 	}
 }
@@ -258,7 +247,7 @@ func TestServerIdleTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Open("s", Spec{Kind: Conjunctive, Procs: 1}); err != nil {
+	if err := cl.Open("s", Spec{Pred: "all(x)", Procs: 1}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(120 * time.Millisecond)
@@ -311,7 +300,7 @@ func BenchmarkStreamIngest(b *testing.B) {
 		}
 		srcs[s] = src
 		ids[s] = fmt.Sprintf("bench-%d", s)
-		if err := eng.Open(ids[s], Spec{Kind: SumEq, Procs: procs, K: -1}); err != nil {
+		if err := eng.Open(ids[s], Spec{Pred: sumEqPred(-1), Procs: procs}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,10 +15,9 @@ import (
 
 // Server exposes an Engine over TCP: one length-prefixed JSON frame per
 // request, one per reply, any number of sessions multiplexed over any
-// number of connections. The transport extends internal/monitor's TCP
-// checker to the multi-tenant setting: framed (so corrupt input fails
-// fast and fuzzably), versioned, and deadline-guarded so hung peers
-// cannot wedge a serve goroutine.
+// number of connections. Frames are length-prefixed (so corrupt input
+// fails fast and fuzzably) and versioned, and every connection is
+// deadline-guarded so hung peers cannot wedge a serve goroutine.
 type Server struct {
 	eng *Engine
 	ln  net.Listener

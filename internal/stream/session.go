@@ -10,8 +10,8 @@ import (
 	"github.com/distributed-predicates/gpd/internal/pred"
 )
 
-// varName is the variable name used for legacy Kind specs (which name no
-// variable) when a retained trace is rebuilt into an offline computation
+// varName is the variable name given to predicates that name none
+// (inflight) when a retained trace is rebuilt into an offline computation
 // at Close.
 const varName = "x"
 
@@ -25,7 +25,7 @@ const sessionPred = "_session"
 // session is backed by a mux.Group — causal delivery happens once, and
 // detectors attach to it:
 //
-//   - A single-predicate session (Spec.Pred or Spec.Kind) carries one
+//   - A single-predicate session (Spec.Pred) carries one
 //     all-events registration with exactly the pre-multiplexer
 //     semantics: the detector sees every event under raw timestamps, a
 //     detector error kills the session, and Close can decide Definitely
@@ -375,8 +375,8 @@ func (s *Session) finalizeSliced(v Verdict, tr *obs.Trace) (Verdict, error) {
 }
 
 // traceVar returns the variable name of the rebuilt computation: the
-// canonical spec's variable, or the legacy default for families that
-// name none (inflight).
+// canonical spec's variable, or varName for families that name none
+// (inflight).
 func (s *Session) traceVar() string {
 	if s.ps.Var != "" {
 		return s.ps.Var

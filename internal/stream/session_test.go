@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,7 +10,17 @@ import (
 	"github.com/distributed-predicates/gpd/internal/core/relsum"
 	"github.com/distributed-predicates/gpd/internal/core/symmetric"
 	"github.com/distributed-predicates/gpd/internal/gen"
+	"github.com/distributed-predicates/gpd/internal/pred"
 )
+
+// sumEqPred is the grammar string of sum(varName) == k.
+func sumEqPred(k int64) string { return fmt.Sprintf("sum(%s) == %d", varName, k) }
+
+// levelsPred is the grammar string of the symmetric predicate on
+// varName with the given true-count level set.
+func levelsPred(levels []int) string {
+	return pred.Spec{Family: pred.Levels, Var: varName, Levels: levels}.String()
+}
 
 // replay shuffles a trace, streams it through a fresh session with
 // flushes interleaved at random (exercising causal holdback and frontier
@@ -59,11 +70,69 @@ func randomComputation(seed int64) *computation.Computation {
 	})
 }
 
-// TestSessionConjunctiveAgreesWithOffline replays random computations with
-// random local-predicate tables and checks both modalities against the
-// offline detectors (weak-conjunctive token elimination and the interval
-// overlap graph).
+// buildComputation builds a computation with lens[p] non-initial events
+// on process p and the given messages, each (from proc, from index, to
+// proc, to index) with 1-based local event indices.
+func buildComputation(lens []int, msgs ...[4]int) *computation.Computation {
+	c := computation.New()
+	ids := make([][]computation.EventID, len(lens))
+	for p, n := range lens {
+		pid := c.AddProcess()
+		for i := 0; i < n; i++ {
+			ids[p] = append(ids[p], c.AddInternal(pid))
+		}
+	}
+	for _, m := range msgs {
+		if err := c.AddMessage(ids[m[0]][m[1]-1], ids[m[2]][m[3]-1]); err != nil {
+			panic(err)
+		}
+	}
+	return c.MustSeal()
+}
+
+// conjCase is one computation with its local-predicate truth table
+// (index 0 is the initial state), the source of its replay order and,
+// for the hand-built scenarios, the expected Possibly verdict.
+type conjCase struct {
+	name  string
+	c     *computation.Computation
+	truth [][]bool
+	rng   *rand.Rand
+	want  *bool
+}
+
+// conjScenarios are the hand-built online-checker scenarios: true events
+// that are concurrent, ordered by a message, superseded by a later
+// concurrent one (token elimination), carried by a send and its
+// receive, and raised before an all-to-all gossip round.
+func conjScenarios() []conjCase {
+	yes, no := true, false
+	const T, F = true, false
+	cases := []conjCase{
+		{name: "concurrent true events", c: buildComputation([]int{1, 1}),
+			truth: [][]bool{{F, T}, {F, T}}, want: &yes},
+		{name: "ordered true events", c: buildComputation([]int{2, 2}, [4]int{0, 2, 1, 1}),
+			truth: [][]bool{{F, T, F}, {F, F, T}}, want: &no},
+		{name: "true after elimination", c: buildComputation([]int{3, 2}, [4]int{0, 2, 1, 1}),
+			truth: [][]bool{{F, T, F, T}, {F, F, T}}, want: &yes},
+		{name: "true send and receive", c: buildComputation([]int{1, 1}, [4]int{0, 1, 1, 1}),
+			truth: [][]bool{{F, T}, {F, T}}, want: &yes},
+		{name: "gossip after true events", c: buildComputation([]int{4, 4, 4},
+			[4]int{0, 3, 1, 4}, [4]int{1, 3, 2, 4}, [4]int{2, 3, 0, 4}),
+			truth: [][]bool{{F, F, T, T, T}, {F, F, T, T, T}, {F, F, T, T, T}}, want: &yes},
+	}
+	for i := range cases {
+		cases[i].rng = rand.New(rand.NewSource(int64(-1 - i)))
+	}
+	return cases
+}
+
+// TestSessionConjunctiveAgreesWithOffline replays the hand-built
+// scenarios and random computations with random local-predicate tables
+// and checks both modalities against the offline detectors
+// (weak-conjunctive token elimination and the interval overlap graph).
 func TestSessionConjunctiveAgreesWithOffline(t *testing.T) {
+	cases := conjScenarios()
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomComputation(seed)
@@ -71,7 +140,14 @@ func TestSessionConjunctiveAgreesWithOffline(t *testing.T) {
 		for p := range truth {
 			truth[p][0] = false // online sessions take initial states as false
 		}
+		cases = append(cases, conjCase{name: fmt.Sprintf("seed %d", seed), c: c, truth: truth, rng: rng})
+	}
+	for _, tc := range cases {
+		c, truth := tc.c, tc.truth
 		offPos := conjunctive.DetectTables(c, truth).Found
+		if tc.want != nil && offPos != *tc.want {
+			t.Fatalf("%s: offline Possibly=%v, want %v", tc.name, offPos, *tc.want)
+		}
 		locals := make(map[computation.ProcID]conjunctive.LocalPredicate)
 		for p := range truth {
 			row := truth[p]
@@ -81,13 +157,13 @@ func TestSessionConjunctiveAgreesWithOffline(t *testing.T) {
 		}
 		offDef := conjunctive.DetectDefinitely(c, locals)
 
-		spec := Spec{Kind: Conjunctive, Procs: c.NumProcs(), Retain: true}
-		v, _ := replay(t, rng, spec, TableTrace(c, truth))
+		spec := Spec{Pred: "all(x)", Procs: c.NumProcs(), Retain: true}
+		v, _ := replay(t, tc.rng, spec, TableTrace(c, truth))
 		if v.Possibly != offPos {
-			t.Errorf("seed %d: Possibly: stream=%v offline=%v", seed, v.Possibly, offPos)
+			t.Errorf("%s: Possibly: stream=%v offline=%v", tc.name, v.Possibly, offPos)
 		}
 		if v.Definitely != offDef {
-			t.Errorf("seed %d: Definitely: stream=%v offline=%v", seed, v.Definitely, offDef)
+			t.Errorf("%s: Definitely: stream=%v offline=%v", tc.name, v.Definitely, offDef)
 		}
 	}
 }
@@ -111,7 +187,7 @@ func TestSessionSumEqAgreesWithOffline(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: offline Definitely: %v", seed, err)
 			}
-			spec := Spec{Kind: SumEq, Procs: c.NumProcs(), K: k, Init: init, Retain: true}
+			spec := Spec{Pred: sumEqPred(k), Procs: c.NumProcs(), Init: init, Retain: true}
 			v, _ := replay(t, rng, spec, events)
 			if v.Possibly != offPos {
 				t.Errorf("seed %d K=%d: Possibly: stream=%v offline=%v", seed, k, v.Possibly, offPos)
@@ -152,7 +228,7 @@ func TestSessionSymmetricAgreesWithOffline(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %v: offline Definitely: %v", seed, sp, err)
 			}
-			spec := Spec{Kind: Symmetric, Procs: n, Levels: sp.Levels, Init: init, Retain: true}
+			spec := Spec{Pred: levelsPred(sp.Levels), Procs: n, Init: init, Retain: true}
 			v, _ := replay(t, rng, spec, events)
 			if v.Possibly != offPos {
 				t.Errorf("seed %d %v: Possibly: stream=%v offline=%v", seed, sp, v.Possibly, offPos)
@@ -170,7 +246,7 @@ func TestSessionPruningBoundsWindow(t *testing.T) {
 	c := gen.Random(gen.Params{Seed: 42, Procs: 3, Events: 40, MsgFrac: 1.5})
 	gen.UnitStepVar(42, c, varName)
 	events, init := SumTrace(c, varName)
-	s, err := NewSession(Spec{Kind: SumEq, Procs: 3, K: 1, Init: init})
+	s, err := NewSession(Spec{Pred: sumEqPred(1), Procs: 3, Init: init})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +268,7 @@ func TestSessionPruningBoundsWindow(t *testing.T) {
 // TestSessionRejects checks structural failure modes: bad timestamps,
 // duplicate delivery, gaps at close, and the MaxWindow bound.
 func TestSessionRejects(t *testing.T) {
-	spec := Spec{Kind: Conjunctive, Procs: 2}
+	spec := Spec{Pred: "all(x)", Procs: 2}
 	t.Run("bad proc", func(t *testing.T) {
 		s, _ := NewSession(spec)
 		if err := s.Step(Event{Proc: 5, VC: []int64{1, 0}}); err == nil {
@@ -228,7 +304,7 @@ func TestSessionRejects(t *testing.T) {
 		}
 	})
 	t.Run("max window", func(t *testing.T) {
-		s, _ := NewSession(Spec{Kind: Conjunctive, Procs: 2, MaxWindow: 2})
+		s, _ := NewSession(Spec{Pred: "all(x)", Procs: 2, MaxWindow: 2})
 		var err error
 		for i := int64(2); i < 10 && err == nil; i++ {
 			err = s.Step(Event{Proc: 0, VC: []int64{i, 0}}) // all held back

@@ -25,89 +25,22 @@ package stream
 import (
 	"fmt"
 
-	"github.com/distributed-predicates/gpd/internal/core/relsum"
 	"github.com/distributed-predicates/gpd/internal/detect"
 	"github.com/distributed-predicates/gpd/internal/pred"
 )
-
-// Kind is the legacy numeric predicate selector of the wire protocol,
-// kept so old clients keep decoding; new clients set Spec.Pred to a
-// canonical predicate string instead, which reaches every registered
-// family rather than these three.
-//
-// Deprecated: set Spec.Pred to a canonical grammar string. The numeric
-// decode stays only for wire back-compat and will not grow new kinds.
-type Kind int
-
-const (
-	// Conjunctive detects Possibly of a conjunction of per-process local
-	// predicates: events carry a Truth flag, and the session feeds the
-	// true ones to the token-based online checker. Initial states are
-	// taken to be false.
-	Conjunctive Kind = iota + 1
-	// SumEq detects Possibly(x1+...+xn = K) for a unit-step integer
-	// variable: events carry the variable's value after the event.
-	SumEq
-	// Symmetric detects Possibly of a symmetric boolean predicate given
-	// by its level set: events carry the process's boolean variable.
-	Symmetric
-)
-
-// String names the kind (also the wire encoding).
-func (k Kind) String() string {
-	switch k {
-	case Conjunctive:
-		return "conjunctive"
-	case SumEq:
-		return "sumeq"
-	case Symmetric:
-		return "symmetric"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
-	}
-}
-
-// ParseKind parses the wire encoding of a kind.
-//
-// Deprecated: parse the canonical grammar with pred.Parse and set
-// Spec.Pred; ParseKind exists only for legacy wire traffic.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "conjunctive":
-		return Conjunctive, nil
-	case "sumeq":
-		return SumEq, nil
-	case "symmetric":
-		return Symmetric, nil
-	default:
-		return 0, fmt.Errorf("stream: unknown predicate kind %q", s)
-	}
-}
 
 // Spec is the per-session predicate specification.
 type Spec struct {
 	// Pred is the predicate in the canonical grammar shared with
 	// gpd.ParseSpec and gpddetect (e.g. "all(x)", "sum(x) == 5",
 	// "inflight == 0"). Any incremental-capable family of the detector
-	// registry is accepted. Mutually exclusive with Kind.
+	// registry is accepted. Required unless Mux is set.
 	Pred string `json:"pred,omitempty"`
-	// Kind is the legacy numeric family selector, kept for wire
-	// back-compat; leave it zero when Pred is set.
-	//
-	// Deprecated: set Pred instead. Canonical converts legacy kinds,
-	// so old payloads keep working, but only Pred reaches every
-	// registered family.
-	Kind Kind `json:"kind,omitempty"`
 	// Procs is the number of processes in the monitored application.
 	Procs int `json:"procs"`
 	// Involved lists the processes carrying a local predicate
 	// (conjunctive only); nil means all.
 	Involved []int `json:"involved,omitempty"`
-	// K is the sum target (legacy SumEq only; Pred strings carry their
-	// own constant).
-	K int64 `json:"k,omitempty"`
-	// Levels is the true-count level set (legacy Symmetric only).
-	Levels []int `json:"levels,omitempty"`
 	// Init gives the initial per-process variable values (sum: the
 	// variable; boolean families: 0/1 truth). nil means all zero/false.
 	Init []int64 `json:"init,omitempty"`
@@ -131,8 +64,8 @@ type Spec struct {
 	// are registered and unregistered mid-stream (wire types "register"
 	// and "unregister"), each stepped only on the events its relevance
 	// set touches. Events must tag the variable they update (Event.Var).
-	// Mutually exclusive with Pred/Kind and the per-predicate fields
-	// (Involved, K, Levels, Init, Retain).
+	// Mutually exclusive with Pred and the per-predicate fields
+	// (Involved, Init, Retain, Slice).
 	Mux bool `json:"mux,omitempty"`
 	// Tenant names the session's owning tenant for cost attribution and
 	// per-tenant metrics; "" means "default". Predicates registered on a
@@ -142,35 +75,20 @@ type Spec struct {
 	Tenant string `json:"tenant,omitempty"`
 }
 
-// Canonical converts the wire spec into the canonical predicate
-// specification shared with gpd.Detect and gpddetect (internal/pred),
-// either by parsing the Pred grammar string or by mapping the legacy
-// Kind. A legacy spec's streamed variable is the session's single
-// tracked variable, named varName in the rebuilt computation.
-// Stream-transport fields (Procs, Involved, Init, Retain, MaxWindow)
-// have no counterpart in the canonical spec and are validated separately
-// by Validate.
+// Canonical parses the spec's Pred grammar string into the canonical
+// predicate specification shared with gpd.Detect and gpddetect
+// (internal/pred). Stream-transport fields (Procs, Involved, Init,
+// Retain, MaxWindow) have no counterpart in the canonical spec and are
+// validated separately by Validate.
 func (sp Spec) Canonical() (pred.Spec, error) {
-	if sp.Pred != "" {
-		if sp.Kind != 0 {
-			return pred.Spec{}, fmt.Errorf("stream: spec sets both pred %q and kind %v; give one", sp.Pred, sp.Kind)
-		}
-		ps, err := pred.Parse(sp.Pred)
-		if err != nil {
-			return pred.Spec{}, fmt.Errorf("stream: %w", err)
-		}
-		return ps, nil
+	if sp.Pred == "" {
+		return pred.Spec{}, fmt.Errorf(`stream: spec has no "pred"; the numeric "kind" selector was removed, so give the predicate as a grammar string (e.g. "pred":"all(x)")`)
 	}
-	switch sp.Kind {
-	case Conjunctive:
-		return pred.Spec{Family: pred.Conjunctive, Var: varName}, nil
-	case SumEq:
-		return pred.Spec{Family: pred.Sum, Var: varName, Rel: relsum.Eq, K: sp.K}, nil
-	case Symmetric:
-		return pred.Spec{Family: pred.Levels, Var: varName, Levels: sp.Levels}, nil
-	default:
-		return pred.Spec{}, fmt.Errorf("stream: unknown predicate kind %d", int(sp.Kind))
+	ps, err := pred.Parse(sp.Pred)
+	if err != nil {
+		return pred.Spec{}, fmt.Errorf("stream: %w", err)
 	}
+	return ps, nil
 }
 
 // Validate checks the spec for structural errors. Predicate-shape rules
@@ -183,10 +101,10 @@ func (sp Spec) Validate() error {
 		return fmt.Errorf("stream: spec needs procs >= 1, got %d", sp.Procs)
 	}
 	if sp.Mux {
-		if sp.Pred != "" || sp.Kind != 0 {
+		if sp.Pred != "" {
 			return fmt.Errorf("stream: mux sessions carry no fixed predicate; register predicates instead")
 		}
-		if len(sp.Involved) > 0 || sp.K != 0 || len(sp.Levels) > 0 || len(sp.Init) > 0 || sp.Retain || sp.Slice {
+		if len(sp.Involved) > 0 || len(sp.Init) > 0 || sp.Retain || sp.Slice {
 			return fmt.Errorf("stream: mux sessions take per-predicate options at register time, not in the spec")
 		}
 		if sp.MaxWindow < 0 {

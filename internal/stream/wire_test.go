@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -109,13 +110,37 @@ func TestDecodeRequestRejectsBadInput(t *testing.T) {
 	})
 }
 
+// TestLegacyKindOpenNamesPred: an open frame from a client that still
+// selects the predicate with the removed numeric kind decodes (the frame
+// is well-formed), but the open fails with an error that names the
+// missing pred field and the removed kind selector.
+func TestLegacyKindOpenNamesPred(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, []byte(`{"v":1,"type":"open","session":"s","spec":{"kind":1,"procs":2}}`)); err != nil {
+		t.Fatal(err)
+	}
+	req, err := DecodeRequest(&buf)
+	if err != nil {
+		t.Fatalf("legacy open frame must still decode: %v", err)
+	}
+	_, err = NewSession(*req.Spec)
+	if err == nil {
+		t.Fatal("open without pred must fail")
+	}
+	for _, want := range []string{`"pred"`, `"kind"`, "removed"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+}
+
 // FuzzDecodeFrame throws arbitrary bytes at the request decoder: it must
 // return an error or a request — never panic — and must refuse to
 // allocate frames beyond MaxFrame no matter what the length prefix says.
 func FuzzDecodeFrame(f *testing.F) {
 	var seed bytes.Buffer
 	EncodeRequest(&seed, Request{V: ProtocolVersion, Type: "open", Session: "s",
-		Spec: &Spec{Kind: Conjunctive, Procs: 2}})
+		Spec: &Spec{Pred: "all(x)", Procs: 2}})
 	f.Add(seed.Bytes())
 	seed.Reset()
 	EncodeRequest(&seed, Request{V: ProtocolVersion, Type: "append", Session: "s",

@@ -66,7 +66,7 @@ func TestReplayBatchAgreementMatrix(t *testing.T) {
 						t.Fatalf("seed %d: batch %v(%s): %v", seed, m, text, err)
 					}
 					replay, err := gpd.Detect(c, spec, gpd.WithModality(m),
-						gpd.WithDetectStrategy(gpd.StrategyReplay))
+						gpd.WithStrategy(gpd.StrategyReplay))
 					if err != nil {
 						t.Fatalf("seed %d: replay %v(%s): %v", seed, m, text, err)
 					}
@@ -120,7 +120,7 @@ func TestReplayRejectsBatchOnlyFamilies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = gpd.Detect(c, spec, gpd.WithDetectStrategy(gpd.StrategyReplay))
+	_, err = gpd.Detect(c, spec, gpd.WithStrategy(gpd.StrategyReplay))
 	if err == nil || !strings.Contains(err.Error(), "no incremental detector") {
 		t.Fatalf("cnf replay: want 'no incremental detector' error, got %v", err)
 	}
@@ -145,7 +145,7 @@ func TestReplayRejectsInitialTrueConjunctive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = gpd.Detect(c, spec, gpd.WithDetectStrategy(gpd.StrategyReplay))
+		_, err = gpd.Detect(c, spec, gpd.WithStrategy(gpd.StrategyReplay))
 		if err == nil || !strings.Contains(err.Error(), "initial states to be false") {
 			t.Fatalf("seed %d: want initial-state rejection, got %v", seed, err)
 		}
@@ -164,7 +164,7 @@ func TestReplayUnitStepViolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = gpd.Detect(c, spec, gpd.WithDetectStrategy(gpd.StrategyReplay))
+		_, err = gpd.Detect(c, spec, gpd.WithStrategy(gpd.StrategyReplay))
 		if err == nil {
 			continue // this seed happened to be unit-weight; try another
 		}
@@ -184,7 +184,7 @@ func TestReplayReportsWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := gpd.Detect(c, spec, gpd.WithDetectStrategy(gpd.StrategyReplay))
+	rep, err := gpd.Detect(c, spec, gpd.WithStrategy(gpd.StrategyReplay))
 	if err != nil {
 		t.Fatal(err)
 	}

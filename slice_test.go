@@ -6,6 +6,8 @@ import (
 
 	gpd "github.com/distributed-predicates/gpd"
 	idetect "github.com/distributed-predicates/gpd/internal/detect"
+	"github.com/distributed-predicates/gpd/internal/linear"
+	"github.com/distributed-predicates/gpd/internal/slicing"
 )
 
 func TestSlicePublicAPI(t *testing.T) {
@@ -21,8 +23,8 @@ func TestSlicePublicAPI(t *testing.T) {
 		p0: func(e gpd.Event) bool { return e.ID == a },
 		p1: func(e gpd.Event) bool { return e.ID == b },
 	}
-	o := gpd.ConjunctiveSliceOracle(locals)
-	s, err := gpd.ComputeSlice(c, o)
+	o := slicing.ConjunctiveOracle(locals)
+	s, err := slicing.Compute(c, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,10 +44,10 @@ func TestSliceEmptyPublicAPI(t *testing.T) {
 	if err := c.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	o := gpd.ConjunctiveSliceOracle(map[gpd.ProcID]func(gpd.Event) bool{
+	o := slicing.ConjunctiveOracle(map[gpd.ProcID]func(gpd.Event) bool{
 		p0: func(gpd.Event) bool { return false },
 	})
-	if _, err := gpd.ComputeSlice(c, o); !errors.Is(err, gpd.ErrSliceEmpty) {
+	if _, err := slicing.Compute(c, o); !errors.Is(err, slicing.ErrEmpty) {
 		t.Fatalf("err = %v, want ErrSliceEmpty", err)
 	}
 }
@@ -59,7 +61,7 @@ func TestPossiblyLinearPublicAPI(t *testing.T) {
 	if err := c.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	ok, cut := gpd.PossiblyLinear(c, gpd.LinearConjunctive(map[gpd.ProcID]func(gpd.Event) bool{
+	ok, cut := linear.Possibly(c, linear.Conjunctive(map[gpd.ProcID]func(gpd.Event) bool{
 		p0: func(e gpd.Event) bool { return e.ID == a },
 	}))
 	if !ok {

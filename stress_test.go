@@ -8,6 +8,10 @@ import (
 	"testing"
 
 	gpd "github.com/distributed-predicates/gpd"
+	"github.com/distributed-predicates/gpd/internal/conjunctive"
+	"github.com/distributed-predicates/gpd/internal/core/relsum"
+	"github.com/distributed-predicates/gpd/internal/core/singular"
+	"github.com/distributed-predicates/gpd/internal/core/symmetric"
 	"github.com/distributed-predicates/gpd/internal/gen"
 )
 
@@ -86,7 +90,7 @@ func TestStressRandomDetectors(t *testing.T) {
 	// Every k in [min,max] is witnessed (Theorem 4 at scale), sampled at
 	// the edges and middle.
 	for _, k := range []int64{min, (min + max) / 2, max} {
-		ok, cut, err := gpd.PossiblySumWitness(c, "x", k)
+		ok, cut, err := relsum.PossiblyEqWitness(c, "x", k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,18 +102,18 @@ func TestStressRandomDetectors(t *testing.T) {
 		}
 	}
 	// Symmetric predicate at scale.
-	ok, _, err := gpd.PossiblySymmetric(c, gpd.NoSimpleMajority(128),
+	ok, _, err := symmetric.Possibly(c, symmetric.NoSimpleMajority(128),
 		func(e gpd.Event) bool { return c.Var("b", e.ID) != 0 })
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = ok // value workload-dependent; the point is completion in poly time
 	// Conjunctive detector on all 128 processes.
-	locals := map[gpd.ProcID]gpd.LocalPredicate{}
+	locals := map[gpd.ProcID]conjunctive.LocalPredicate{}
 	for p := 0; p < 128; p++ {
 		locals[gpd.ProcID(p)] = func(e gpd.Event) bool { return c.Var("b", e.ID) != 0 }
 	}
-	_ = gpd.PossiblyConjunctive(c, locals)
+	_ = conjunctive.Detect(c, locals)
 }
 
 func TestStressSingularOrderedLarge(t *testing.T) {
@@ -118,15 +122,15 @@ func TestStressSingularOrderedLarge(t *testing.T) {
 	}
 	const groupSize = 2
 	c := gen.GroupFunnel(gen.Params{Seed: 11, Procs: 32, Events: 200, MsgFrac: 0.3}, groupSize, true)
-	pred := &gpd.SingularPredicate{}
+	pred := &singular.Predicate{}
 	for g := 0; g < 16; g++ {
-		pred.Clauses = append(pred.Clauses, gpd.SingularClause{
+		pred.Clauses = append(pred.Clauses, singular.Clause{
 			{Proc: gpd.ProcID(2 * g)},
 			{Proc: gpd.ProcID(2*g + 1)},
 		})
 	}
-	truth := gpd.TruthFromTables(gen.BoolTables(12, c, 0.1))
-	res, err := gpd.PossiblySingular(c, pred, truth, gpd.StrategyReceiveOrdered)
+	truth := singular.TruthFromTables(gen.BoolTables(12, c, 0.1))
+	res, err := singular.Detect(c, pred, truth, gpd.StrategyReceiveOrdered)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,11 +40,15 @@ type RangeTracker struct {
 	baseline int64 // S at the pruned cut P
 	min, max int64 // running extrema over every cut covered so far
 
-	// Retained window, dense slots.
+	// Retained window, dense slots. Requirements are kept as the
+	// (slot, required slot) pairs the closure reduction consumes.
 	slots   map[int64]int // external event id -> slot
 	ids     []int64       // slot -> external event id
 	weights []int64       // slot -> per-event change of S
-	reqs    [][]int       // slot -> required slots (direct predecessors)
+	reqs    [][2]int      // slot v requires slot u
+
+	g     maxflow.Graph // closure arena, reused by every Flush
+	remap []int         // Prune scratch: old slot -> new slot, -1 if dropped
 
 	dirty   bool       // events observed since the last Flush
 	flushes int        // closure recomputations, for stats
@@ -68,10 +72,12 @@ func NewRangeTracker(baseline int64) *RangeTracker {
 
 // Observe adds one event to the window. id must be unique for the lifetime
 // of the tracker; weight is the change of S caused by the event; requires
-// lists the ids of the event's direct causal predecessors. Predecessors
-// that were already pruned are ignored (they are below every cut the
-// tracker still forms); predecessors never observed are a caller bug and
-// make the closure constraints incomplete.
+// lists the ids of events the event causally succeeds, enough of them
+// that the rest follow transitively (its direct predecessors, or fewer
+// when some are implied through the others). Predecessors that were
+// already pruned are ignored (they are below every cut the tracker still
+// forms); predecessors never observed are a caller bug and make the
+// closure constraints incomplete. requires is not retained.
 func (t *RangeTracker) Observe(id int64, weight int64, requires []int64) {
 	if _, ok := t.slots[id]; ok {
 		return // duplicate delivery: idempotent
@@ -80,44 +86,32 @@ func (t *RangeTracker) Observe(id int64, weight int64, requires []int64) {
 	t.slots[id] = slot
 	t.ids = append(t.ids, id)
 	t.weights = append(t.weights, weight)
-	var rs []int
 	for _, r := range requires {
 		if s, ok := t.slots[r]; ok {
-			rs = append(rs, s)
+			t.reqs = append(t.reqs, [2]int{slot, s})
 		}
 	}
-	t.reqs = append(t.reqs, rs)
 	t.dirty = true
 }
 
 // Flush recomputes the extrema over the current window (two max-weight
-// closure computations) and folds them into the running min/max. Cheap
-// when nothing changed since the last call.
+// closure computations in the tracker's reused flow arena) and folds
+// them into the running min/max. Cheap when nothing changed since the
+// last call.
 func (t *RangeTracker) Flush() (min, max int64) {
 	if !t.dirty {
 		return t.min, t.max
 	}
 	t.dirty = false
 	t.flushes++
-	n := len(t.weights)
-	if n == 0 {
+	if len(t.weights) == 0 {
 		return t.min, t.max
 	}
-	var requires [][2]int
-	for v, rs := range t.reqs {
-		for _, u := range rs {
-			requires = append(requires, [2]int{v, u})
-		}
-	}
-	best, _ := maxflow.MaxClosureTraced(t.weights, requires, t.tr)
+	best := t.g.Closure(t.weights, false, t.reqs, 1, nil, t.tr)
 	if hi := t.baseline + best; hi > t.max {
 		t.max = hi
 	}
-	neg := make([]int64, n)
-	for i, w := range t.weights {
-		neg[i] = -w
-	}
-	worst, _ := maxflow.MaxClosureTraced(neg, requires, t.tr)
+	worst := t.g.Closure(t.weights, true, t.reqs, 1, nil, t.tr)
 	if lo := t.baseline - worst; lo < t.min {
 		t.min = lo
 	}
@@ -128,49 +122,44 @@ func (t *RangeTracker) Flush() (min, max int64) {
 // window. The set must be downward closed within the window, and the
 // caller must guarantee that every event yet to be observed causally
 // succeeds all of them (the vector-clock frontier argument above). Prune
-// flushes first so no cut goes uncovered. Unknown ids are ignored.
+// flushes first so no cut goes uncovered. Unknown ids are ignored; ids
+// is not retained.
 func (t *RangeTracker) Prune(ids []int64) {
 	t.Flush()
-	drop := make(map[int]bool, len(ids))
+	remap := append(t.remap[:0], make([]int, len(t.weights))...)
+	t.remap = remap
+	dropped := 0
 	for _, id := range ids {
-		if s, ok := t.slots[id]; ok {
-			drop[s] = true
+		if s, ok := t.slots[id]; ok && remap[s] == 0 {
+			remap[s] = -1
+			dropped++
 		}
 	}
-	if len(drop) == 0 {
+	if dropped == 0 {
 		return
 	}
-	remap := make([]int, len(t.weights))
-	newIDs := t.ids[:0]
-	newW := t.weights[:0]
-	var newReqs [][]int
-	for s := range t.weights {
-		if drop[s] {
-			t.baseline += t.weights[s]
+	kept := 0
+	for s, w := range t.weights {
+		if remap[s] < 0 {
+			t.baseline += w
 			delete(t.slots, t.ids[s])
-			remap[s] = -1
 			continue
 		}
-		remap[s] = len(newW)
-		newIDs = append(newIDs, t.ids[s])
-		newW = append(newW, t.weights[s])
+		remap[s] = kept
+		t.ids[kept], t.weights[kept] = t.ids[s], w
+		t.slots[t.ids[kept]] = kept
+		kept++
 	}
-	for s, rs := range t.reqs {
-		if drop[s] {
-			continue
+	t.ids, t.weights = t.ids[:kept], t.weights[:kept]
+	// Requirements on a dropped event are satisfied by every cut the
+	// tracker still forms; those of a dropped event go with it.
+	reqs := t.reqs[:0]
+	for _, r := range t.reqs {
+		if v, u := remap[r[0]], remap[r[1]]; v >= 0 && u >= 0 {
+			reqs = append(reqs, [2]int{v, u})
 		}
-		kept := rs[:0]
-		for _, u := range rs {
-			if remap[u] >= 0 {
-				kept = append(kept, remap[u])
-			}
-		}
-		newReqs = append(newReqs, kept)
 	}
-	t.ids, t.weights, t.reqs = newIDs, newW, newReqs
-	for s, id := range t.ids {
-		t.slots[id] = s
-	}
+	t.reqs = reqs
 }
 
 // Range returns the running extrema as of the last Flush.

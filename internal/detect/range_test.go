@@ -1,0 +1,251 @@
+package detect
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"github.com/distributed-predicates/gpd/internal/computation"
+	"github.com/distributed-predicates/gpd/internal/core/relsum"
+	"github.com/distributed-predicates/gpd/internal/gen"
+	"github.com/distributed-predicates/gpd/internal/pred"
+	"github.com/distributed-predicates/gpd/internal/simulator"
+)
+
+// denseRequires is the reference derivation of an event's causal
+// requirements: the local predecessor plus one requirement per nonzero
+// remote clock component, whatever the process's previous event
+// already implied. frontier.requires must yield the same closures.
+func denseRequires(f *frontier, ev Event) []int64 {
+	var reqs []int64
+	if own := ev.VC[ev.Proc]; own >= 2 {
+		reqs = append(reqs, f.id(ev.Proc, own-1))
+	}
+	for q, v := range ev.VC {
+		if q != ev.Proc && v >= 1 {
+			reqs = append(reqs, f.id(q, v))
+		}
+	}
+	return reqs
+}
+
+// scramble returns a random causality-respecting permutation of a
+// linearized event stream: at every step it delivers the next event of
+// a random process whose causal past has been delivered.
+func scramble(rng *rand.Rand, events []Event, procs int) []Event {
+	queues := make([][]Event, procs)
+	for _, ev := range events {
+		queues[ev.Proc] = append(queues[ev.Proc], ev)
+	}
+	delivered := make([]int64, procs)
+	ready := func(ev Event) bool {
+		for q, v := range ev.VC {
+			if q != ev.Proc && v > delivered[q] {
+				return false
+			}
+		}
+		return true
+	}
+	out := make([]Event, 0, len(events))
+	var cands []int
+	for len(out) < len(events) {
+		cands = cands[:0]
+		for p, q := range queues {
+			if len(q) > 0 && ready(q[0]) {
+				cands = append(cands, p)
+			}
+		}
+		p := cands[rng.Intn(len(cands))]
+		out = append(out, queues[p][0])
+		queues[p] = queues[p][1:]
+		delivered[p]++
+	}
+	return out
+}
+
+// rangeCase is one detector family under test: its spec, how to label
+// the computation, and the batch range the stream must end on.
+type rangeCase struct {
+	spec  pred.Spec
+	label func(seed int64, c *computation.Computation)
+	want  func(c *computation.Computation) (min, max int64)
+}
+
+func rangeCases() []rangeCase {
+	sumRange := func(c *computation.Computation) (int64, int64) { return relsum.SumRange(c, "x") }
+	unit := func(seed int64, c *computation.Computation) { gen.UnitStepVar(seed, c, "x") }
+	boolVar := func(seed int64, c *computation.Computation) { gen.BoolVar(seed, c, "x", 0.5) }
+	return []rangeCase{
+		{pred.Spec{Family: pred.Sum, Var: "x", Rel: relsum.Eq, K: 1}, unit, sumRange},
+		{pred.Spec{Family: pred.Sum, Var: "x", Rel: relsum.Ge, K: 3},
+			func(seed int64, c *computation.Computation) { gen.ArbitraryStepVar(seed, c, "x", 3) }, sumRange},
+		{pred.Spec{Family: pred.Sum, Var: "x", Rel: relsum.Lt, K: -2}, unit, sumRange},
+		{pred.Spec{Family: pred.InFlight, Rel: relsum.Ge, K: 2}, nil,
+			func(c *computation.Computation) (int64, int64) { return relsum.InFlightRange(c) }},
+		{pred.Spec{Family: pred.Count, Var: "x", Rel: relsum.Ge, K: 2}, boolVar, sumRange},
+		{pred.Spec{Family: pred.Levels, Var: "x", Levels: []int{0, 3}}, boolVar, sumRange},
+	}
+}
+
+// TestRangeDetectorsMatchDenseRequirements streams random computations
+// in random causality-respecting orders through the sum, inflight,
+// count and levels detectors, flushing at random intervals. At every
+// flush the detector's range must equal that of a reference tracker
+// fed the dense requirements and pruned on the same schedule, and at
+// close it must equal the batch range.
+func TestRangeDetectorsMatchDenseRequirements(t *testing.T) {
+	for _, tc := range rangeCases() {
+		entry, ok := Lookup(tc.spec.Family, ModalityPossibly)
+		if !ok {
+			t.Fatalf("%v: not registered", tc.spec.Family)
+		}
+		for seed := int64(0); seed < 40; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			c := gen.Random(gen.Params{
+				Seed:    seed,
+				Procs:   2 + rng.Intn(5),
+				Events:  2 + rng.Intn(9),
+				MsgFrac: 2 * rng.Float64(),
+			})
+			if tc.label != nil {
+				tc.label(seed, c)
+			}
+			name := fmt.Sprintf("%v seed %d", tc.spec.Family, seed)
+			events, cfg, err := entry.Linearize(c, tc.spec)
+			if err != nil {
+				t.Fatalf("%s: linearize: %v", name, err)
+			}
+			det, err := entry.New(tc.spec, cfg)
+			if err != nil {
+				t.Fatalf("%s: new: %v", name, err)
+			}
+
+			// The reference: a tracker over the same per-event changes
+			// with dense requirements and its own frontier.
+			procs := cfg.Procs
+			refFr := newFrontier(procs)
+			last := make([]int64, procs)
+			var base int64
+			for p, v := range cfg.Init {
+				if entry.Caps.Payload == PayloadTruth && v != 0 {
+					v = 1
+				}
+				last[p] = v
+				base += v
+			}
+			ref := relsum.NewRangeTracker(base)
+			change := func(ev Event) int64 {
+				var v int64
+				switch entry.Caps.Payload {
+				case PayloadDelta:
+					return ev.Val
+				case PayloadTruth:
+					if ev.Truth {
+						v = 1
+					}
+				default:
+					v = ev.Val
+				}
+				d := v - last[ev.Proc]
+				last[ev.Proc] = v
+				return d
+			}
+
+			flush := func(at int) {
+				det.Flush()
+				ref.Flush()
+				if ids := refFr.stable(); len(ids) > 0 {
+					ref.Prune(ids)
+				}
+				snap := det.Snapshot()
+				if min, max := ref.Range(); snap.Min != min || snap.Max != max {
+					t.Fatalf("%s: after %d events: range [%d, %d], dense reference [%d, %d]",
+						name, at, snap.Min, snap.Max, min, max)
+				}
+				if snap.Window != ref.Window() {
+					t.Fatalf("%s: after %d events: window %d, dense reference %d", name, at, snap.Window, ref.Window())
+				}
+			}
+			next := 1 + rng.Intn(6)
+			for i, ev := range scramble(rng, events, procs) {
+				if err := det.Step(ev); err != nil {
+					t.Fatalf("%s: step: %v", name, err)
+				}
+				ref.Observe(refFr.id(ev.Proc, ev.VC[ev.Proc]), change(ev), denseRequires(refFr, ev))
+				refFr.observe(ev)
+				if i+1 == next {
+					flush(i + 1)
+					next += 1 + rng.Intn(6)
+				}
+			}
+			flush(len(events))
+			snap := det.Snapshot()
+			if min, max := tc.want(c); snap.Min != min || snap.Max != max {
+				t.Fatalf("%s: closing range [%d, %d], batch [%d, %d]", name, snap.Min, snap.Max, min, max)
+			}
+		}
+	}
+}
+
+// BenchmarkRangeDetectorGossip streams 32 gossiper traces (8 processes,
+// 120 steps) through the range detectors the way a sum-stream session
+// runs them: three traces in four watch sum(level) == k, the fourth
+// inflight >= k, with a flush every 640 events. It reports the detector
+// loop's cost and garbage per event; CI holds allocs/event under a
+// ceiling.
+func BenchmarkRangeDetectorGossip(b *testing.B) {
+	type trace struct {
+		entry  Entry
+		spec   pred.Spec
+		events []Event
+		cfg    Config
+	}
+	var traces []trace
+	total := 0
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 32; i++ {
+		c, err := simulator.New(rng.Int63(), simulator.NewGossiperProcs(8, 120, 250)).Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		spec := pred.Spec{Family: pred.Sum, Var: simulator.VarLevel, Rel: relsum.Eq, K: int64(rng.Intn(25) - 12)}
+		if i%4 == 3 {
+			spec = pred.Spec{Family: pred.InFlight, Rel: relsum.Ge, K: int64(1 + rng.Intn(4))}
+		}
+		entry, _ := Lookup(spec.Family, ModalityPossibly)
+		events, cfg, err := entry.Linearize(c, spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		traces = append(traces, trace{entry, spec, events, cfg})
+		total += len(events)
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for _, tc := range traces {
+			det, err := tc.entry.New(tc.spec, tc.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i, ev := range tc.events {
+				if err := det.Step(ev); err != nil {
+					b.Fatal(err)
+				}
+				if (i+1)%640 == 0 {
+					det.Flush()
+				}
+			}
+			det.Flush()
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	events := float64(b.N) * float64(total)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+	b.ReportMetric(float64(ms.Mallocs-mallocs)/events, "allocs/event")
+}

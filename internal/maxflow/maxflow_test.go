@@ -2,6 +2,7 @@ package maxflow
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -156,5 +157,69 @@ func TestMaxClosureChain(t *testing.T) {
 	got, _ := MaxClosure([]int64{5, -3, 4}, [][2]int{{1, 0}, {2, 1}})
 	if got != 6 {
 		t.Fatalf("MaxClosure = %d, want 6", got)
+	}
+}
+
+// TestGraphReuseMatchesFresh solves random closure instances one after
+// another in a single reused Graph, alternately growing and shrinking
+// it, in both orientations. Every instance must give the value and mask
+// of a fresh graph and the brute-force value: stale heads, arcs,
+// residual capacities or search scratch from a larger earlier instance
+// would show up here.
+func TestGraphReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	g := new(Graph)
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(4)
+		if trial%2 == 0 {
+			n += 6 // alternate large and small instances
+		}
+		weights := make([]int64, n)
+		for i := range weights {
+			weights[i] = int64(rng.Intn(21) - 10)
+		}
+		var requires [][2]int
+		for v := 1; v < n; v++ {
+			for u := 0; u < v; u++ {
+				if rng.Intn(3) == 0 {
+					requires = append(requires, [2]int{v, u})
+				}
+			}
+		}
+		negate := rng.Intn(2) == 0
+		eff := weights
+		if negate {
+			eff = make([]int64, n)
+			for i, w := range weights {
+				eff[i] = -w
+			}
+		}
+		mask := make([]bool, n)
+		got := g.Closure(weights, negate, requires, 1, mask, nil)
+		want, wantMask := MaxClosure(eff, requires)
+		if got != want || !reflect.DeepEqual(mask, wantMask) {
+			t.Fatalf("trial %d: reused graph (%d, %v), fresh (%d, %v)", trial, got, mask, want, wantMask)
+		}
+		if brute := bruteClosure(eff, requires); got != brute {
+			t.Fatalf("trial %d: reused graph %d, brute %d", trial, got, brute)
+		}
+		// The maskless route must agree too.
+		if v := g.Closure(weights, negate, requires, 1, nil, nil); v != got {
+			t.Fatalf("trial %d: maskless %d, with mask %d", trial, v, got)
+		}
+	}
+}
+
+// A reused graph must not allocate once its storage has grown.
+func TestGraphClosureReuseAllocs(t *testing.T) {
+	weights, requires := randomClosureInstance(3, 60)
+	g := new(Graph)
+	g.Closure(weights, false, requires, 1, nil, nil)
+	allocs := testing.AllocsPerRun(20, func() {
+		g.Closure(weights, false, requires, 1, nil, nil)
+		g.Closure(weights, true, requires, 1, nil, nil)
+	})
+	if allocs != 0 {
+		t.Fatalf("reused closure pair allocates %.1f times, want 0", allocs)
 	}
 }

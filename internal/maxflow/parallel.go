@@ -20,20 +20,11 @@ func (g *Graph) MaxFlowPar(s, t, workers int) int64 {
 	if s == t {
 		return 0
 	}
+	g.level = resize(g.level, g.n)
+	g.iter = resize(g.iter, g.n)
 	var total int64
-	level := make([]int, g.n)
-	iter := make([]int, g.n)
-	for g.bfsPar(s, t, level, workers) {
-		g.phases++
-		copy(iter, g.head)
-		for {
-			f := g.dfs(s, t, Infinity, level, iter)
-			if f == 0 {
-				break
-			}
-			g.augPaths++
-			total += f
-		}
+	for g.bfsPar(s, t, workers) {
+		total += g.blockingFlow(s, t)
 	}
 	return total
 }
@@ -42,7 +33,8 @@ func (g *Graph) MaxFlowPar(s, t, workers int) int64 {
 // scan disjoint chunks of the current frontier for unlabelled residual
 // neighbours (pure reads), and a sequential merge labels them in
 // frontier order. Small frontiers run inline via par.Do's chunk floor.
-func (g *Graph) bfsPar(s, t int, level []int, workers int) bool {
+func (g *Graph) bfsPar(s, t, workers int) bool {
+	level := g.level
 	for i := range level {
 		level[i] = -1
 	}
@@ -77,7 +69,8 @@ func (g *Graph) bfsPar(s, t int, level []int, workers int) bool {
 // bounded worker pool. Identical value, mask and counters for every
 // worker count.
 func MaxClosureParTraced(weights []int64, requires [][2]int, workers int, tr *obs.Trace) (int64, []bool) {
-	return maxClosure(weights, requires, workers, tr)
+	mask := make([]bool, len(weights))
+	return new(Graph).Closure(weights, false, requires, workers, mask, tr), mask
 }
 
 // MaxClosurePairTraced solves the two closure problems behind every sum
@@ -89,13 +82,12 @@ func MaxClosureParTraced(weights []int64, requires [][2]int, workers int, tr *ob
 // are deterministic. Returns the weights closure first, the negated one
 // second, in the same order the sequential callers computed them.
 func MaxClosurePairTraced(weights []int64, requires [][2]int, workers int, tr *obs.Trace) (best int64, bestMask []bool, negBest int64, negMask []bool) {
-	neg := make([]int64, len(weights))
-	for i, w := range weights {
-		neg[i] = -w
-	}
+	bestMask = make([]bool, len(weights))
+	negMask = make([]bool, len(weights))
 	if workers <= 1 {
-		best, bestMask = MaxClosureTraced(weights, requires, tr)
-		negBest, negMask = MaxClosureTraced(neg, requires, tr)
+		g := new(Graph)
+		best = g.Closure(weights, false, requires, 1, bestMask, tr)
+		negBest = g.Closure(weights, true, requires, 1, negMask, tr)
 		return
 	}
 	half := workers / 2
@@ -103,54 +95,9 @@ func MaxClosurePairTraced(weights []int64, requires [][2]int, workers int, tr *o
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		negBest, negMask = maxClosure(neg, requires, half, tr)
+		negBest = new(Graph).Closure(weights, true, requires, half, negMask, tr)
 	}()
-	best, bestMask = maxClosure(weights, requires, workers-half, tr)
+	best = new(Graph).Closure(weights, false, requires, workers-half, bestMask, tr)
 	wg.Wait()
 	return
-}
-
-// maxClosure is the single implementation behind MaxClosureTraced and
-// its parallel variants: the standard min-cut reduction, with the flow
-// run sequentially or with parallel BFS phases depending on workers.
-func maxClosure(weights []int64, requires [][2]int, workers int, tr *obs.Trace) (int64, []bool) {
-	n := len(weights)
-	// Standard reduction: source -> v with cap w(v) for positive
-	// weights, v -> sink with cap -w(v) for negative weights, and an
-	// infinite edge v -> u for every requirement (v requires u). The
-	// min cut separates the chosen closure (source side) from the rest.
-	g := NewGraph(n + 2)
-	s, t := n, n+1
-	var totalPos int64
-	for v, w := range weights {
-		if w > 0 {
-			g.AddEdge(s, v, w)
-			totalPos += w
-		} else if w < 0 {
-			g.AddEdge(v, t, -w)
-		}
-	}
-	for _, r := range requires {
-		v, u := r[0], r[1]
-		g.AddEdge(v, u, Infinity)
-	}
-	flow := g.MaxFlowPar(s, t, workers)
-	side := g.MinCutSide(s)
-	mask := make([]bool, n)
-	copy(mask, side[:n])
-	if tr != nil {
-		var size int64
-		for _, in := range mask {
-			if in {
-				size++
-			}
-		}
-		tr.Add("maxflow.augmenting_paths", g.augPaths)
-		tr.Add("maxflow.bfs_phases", g.phases)
-		tr.Add("maxflow.closures", 1)
-		tr.Add("maxflow.closure_size", size)
-		tr.Add("maxflow.graph_nodes", int64(n))
-		tr.Add("maxflow.graph_arcs", int64(len(g.to)))
-	}
-	return totalPos - flow, mask
 }

@@ -219,9 +219,11 @@ type Report struct {
 	// Combinations counts the CPDHB sub-runs tried (FamilyCNF under
 	// ModalityPossibly only).
 	Combinations int
-	// Min and Max bound the tracked quantity over all consistent cuts
-	// when HasRange is set (FamilyInFlight, and replay runs of the
-	// range-tracking families).
+	// Min and Max are the exact range of the tracked quantity (the
+	// variable sum, channel occupancy or true-count) over all consistent
+	// cuts when HasRange is set: by batch Possibly runs of the range
+	// families (sum, inflight, count, xor, levels), batch Definitely runs
+	// of inflight, and replay runs of the range families.
 	Min, Max int64
 	// HasRange reports whether Min and Max are meaningful.
 	HasRange bool

@@ -53,11 +53,11 @@ func TestDetectAgreesConjunctive(t *testing.T) {
 		for p := 0; p < c.NumProcs(); p++ {
 			locals[gpd.ProcID(p)] = truth
 		}
-		kernel := conjunctive.Detect(c, locals)
+		kernel := conjunctive.Detect(c, locals, nil)
 		if rep := detect(t, c, "all(x)", gpd.ModalityPossibly); rep.Holds != kernel.Found {
 			t.Errorf("seed %d: Detect possibly %v, kernel %v", seed, rep.Holds, kernel.Found)
 		}
-		kernelDef := conjunctive.DetectDefinitely(c, locals)
+		kernelDef := conjunctive.DetectDefinitely(c, locals, nil)
 		if rep := detect(t, c, "all(x)", gpd.ModalityDefinitely); rep.Holds != kernelDef {
 			t.Errorf("seed %d: Detect definitely %v, kernel %v", seed, rep.Holds, kernelDef)
 		}
@@ -71,14 +71,14 @@ func TestDetectAgreesSum(t *testing.T) {
 		for _, rel := range relops {
 			for _, k := range []int64{-2, 0, 2} {
 				pred := fmt.Sprintf("sum(u) %v %d", rel, k)
-				kernel, err := relsum.Possibly(c, "u", rel, k)
+				kernel, _, _, err := relsum.Possibly(relsum.Var(c, "u"), rel, k, 1, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if rep := detect(t, c, pred, gpd.ModalityPossibly); rep.Holds != kernel {
 					t.Errorf("seed %d: Possibly(%s): Detect %v, kernel %v", seed, pred, rep.Holds, kernel)
 				}
-				kernelDef, err := relsum.Definitely(c, "u", rel, k)
+				kernelDef, err := relsum.Definitely(relsum.Var(c, "u"), rel, k, 1, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -105,14 +105,14 @@ func TestDetectAgreesSymmetric(t *testing.T) {
 			{"levels(x): 0, 2", symmetric.Spec{N: n, Levels: []int{0, 2}}},
 		}
 		for _, tc := range cases {
-			kernel, _, err := symmetric.Possibly(c, tc.spec, truth)
+			kernel, _, _, err := symmetric.Possibly(c, tc.spec, truth, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if rep := detect(t, c, tc.pred, gpd.ModalityPossibly); rep.Holds != kernel {
 				t.Errorf("seed %d: Possibly(%s): Detect %v, kernel %v", seed, tc.pred, rep.Holds, kernel)
 			}
-			kernelDef, err := symmetric.Definitely(c, tc.spec, truth)
+			kernelDef, err := symmetric.Definitely(c, tc.spec, truth, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +141,7 @@ func TestDetectAgreesCNF(t *testing.T) {
 			}
 			p.Clauses = append(p.Clauses, out)
 		}
-		kernel, err := singular.Detect(c, p, truth, gpd.StrategyAuto)
+		kernel, err := singular.Detect(c, p, truth, gpd.StrategyAuto, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,4 +412,30 @@ func FuzzParseSpec(f *testing.F) {
 			t.Fatalf("String not stable: %q then %q (from %q)", rendered, r2, text)
 		}
 	})
+}
+
+// TestRangePossiblySolvesClosurePairOnce: a batch Possibly of every
+// range family solves exactly one closure pair — the minimum and the
+// maximum of its quantity — and reports the range it found; the ==
+// witness scan and the level probes reuse the pair's extremal cuts.
+func TestRangePossiblySolvesClosurePairOnce(t *testing.T) {
+	c, err := gpd.NewSimulator(3, gpd.NewGossiperProcs(6, 8, 250)).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds := []string{
+		"sum(level) == 1", "sum(level) >= 2",
+		"inflight == 1", "inflight >= 1",
+		"count(flag) == 2", "count(flag) >= 3",
+		"xor(flag)", "levels(flag): 1, 4",
+	}
+	for _, text := range preds {
+		rep := detect(t, c, text, gpd.ModalityPossibly)
+		if got := rep.Work.Counters["maxflow.closures"]; got != 2 {
+			t.Errorf("Possibly(%s): maxflow.closures = %d, want 2", text, got)
+		}
+		if !rep.HasRange || rep.Min > rep.Max {
+			t.Errorf("Possibly(%s): range [%d,%d] (HasRange %v)", text, rep.Min, rep.Max, rep.HasRange)
+		}
+	}
 }

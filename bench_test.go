@@ -53,7 +53,7 @@ func BenchmarkFig3Reduction(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := singular.Detect(in.C, in.Pred, in.Truth(), singular.ChainCover)
+		res, err := singular.Detect(in.C, in.Pred, in.Truth(), singular.ChainCover, 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func BenchmarkE1ReductionDetect(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("vars-%d", nv), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := singular.Detect(in.C, in.Pred, in.Truth(), singular.ChainCover); err != nil {
+				if _, err := singular.Detect(in.C, in.Pred, in.Truth(), singular.ChainCover, 1, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -114,7 +114,7 @@ func BenchmarkE2Ordered(b *testing.B) {
 		truth := singular.TruthFromTables(gen.BoolTables(78, cr, 0.15))
 		b.Run(fmt.Sprintf("recv-g%d-e%d", cfg.g, cfg.events), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := singular.Detect(cr, p, truth, singular.ReceiveOrdered); err != nil {
+				if _, err := singular.Detect(cr, p, truth, singular.ReceiveOrdered, 1, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -123,7 +123,7 @@ func BenchmarkE2Ordered(b *testing.B) {
 		truthS := singular.TruthFromTables(gen.BoolTables(80, cs, 0.15))
 		b.Run(fmt.Sprintf("send-g%d-e%d", cfg.g, cfg.events), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := singular.Detect(cs, p, truthS, singular.SendOrdered); err != nil {
+				if _, err := singular.Detect(cs, p, truthS, singular.SendOrdered, 1, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -152,7 +152,7 @@ func BenchmarkE3AlgorithmA(b *testing.B) {
 	c, p, truth := e3Fixture()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := singular.Detect(c, p, truth, singular.ProcessSubsets); err != nil {
+		if _, err := singular.Detect(c, p, truth, singular.ProcessSubsets, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -162,7 +162,7 @@ func BenchmarkE3AlgorithmB(b *testing.B) {
 	c, p, truth := e3Fixture()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := singular.Detect(c, p, truth, singular.ChainCover); err != nil {
+		if _, err := singular.Detect(c, p, truth, singular.ChainCover, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -183,7 +183,7 @@ func BenchmarkE4Closure(b *testing.B) {
 		gen.UnitStepVar(int64(procs+1), c, "x")
 		b.Run(fmt.Sprintf("procs-%d", procs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := relsum.Possibly(c, "x", relsum.Eq, 1); err != nil {
+				if _, _, _, err := relsum.Possibly(relsum.Var(c, "x"), relsum.Eq, 1, 1, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -248,7 +248,7 @@ func BenchmarkE6Symmetric(b *testing.B) {
 		truth := func(e computation.Event) bool { return c.Var("yes", e.ID) != 0 }
 		b.Run(fmt.Sprintf("procs-%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := symmetric.Possibly(c, symmetric.NoSimpleMajority(n), truth); err != nil {
+				if _, _, _, err := symmetric.Possibly(c, symmetric.NoSimpleMajority(n), truth, 1, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -289,7 +289,7 @@ func BenchmarkX2InFlight(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("procs-%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				relsum.InFlightRange(c)
+				relsum.Range(relsum.InFlight(c), 1, nil)
 			}
 		})
 	}

@@ -72,7 +72,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			return err
 		}
 	}
-	res, err := singular.Detect(in.C, in.Pred, in.Truth(), singular.ChainCover)
+	res, err := singular.Detect(in.C, in.Pred, in.Truth(), singular.ChainCover, 1, nil)
 	if err != nil {
 		return err
 	}

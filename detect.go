@@ -58,13 +58,13 @@ func ParseRelop(s string) (Relop, error) { return relsum.ParseRelop(s) }
 // of the sum of the named per-process variable, in polynomial time via a
 // max-weight closure (min-cut) computation. No step-size assumption.
 func SumRange(c *Computation, name string) (min, max int64) {
-	return relsum.SumRange(c, name)
+	return rangeOf(relsum.Var(c, name))
 }
 
 // ValidateUnitStep checks that the named variable changes by at most one
 // at every event.
 func ValidateUnitStep(c *Computation, name string) error {
-	return relsum.ValidateUnitStep(c, name)
+	return relsum.Var(c, name).ValidateUnitStep()
 }
 
 // EventWeight assigns a per-event change to a global quantity; the
@@ -76,20 +76,21 @@ type EventWeight = relsum.Weight
 // WeightedRange returns the exact minimum and maximum over all consistent
 // cuts of base + the summed event weights, in polynomial time.
 func WeightedRange(c *Computation, base int64, w EventWeight) (min, max int64) {
-	return relsum.WeightedRange(c, base, w)
+	return rangeOf(relsum.Weighted(c, base, w))
 }
 
 // PossiblyWeighted decides Possibly(quantity relop k) for an ideal-sum
 // quantity; equality requires unit weights (ErrNotUnitStep otherwise).
 func PossiblyWeighted(c *Computation, base int64, w EventWeight, r Relop, k int64) (bool, error) {
-	return relsum.PossiblyWeighted(c, base, w, r, k)
+	ok, _, _, err := relsum.Possibly(relsum.Weighted(c, base, w), r, k, 1, nil)
+	return ok, err
 }
 
 // DefinitelyWeighted decides Definitely(quantity relop k) for an
 // ideal-sum quantity by region reachability (worst-case exponential;
 // equality requires unit weights).
 func DefinitelyWeighted(c *Computation, base int64, w EventWeight, r Relop, k int64) (bool, error) {
-	return relsum.DefinitelyWeighted(c, base, w, r, k)
+	return relsum.Definitely(relsum.Weighted(c, base, w), r, k, 1, nil)
 }
 
 // InFlightRange returns the minimum and maximum number of messages in
@@ -97,5 +98,11 @@ func DefinitelyWeighted(c *Computation, base int64, w EventWeight, r Relop, k in
 // occupancy bounds, including quiescence (min) and the buffer requirement
 // (max).
 func InFlightRange(c *Computation) (min, max int64) {
-	return relsum.InFlightRange(c)
+	return rangeOf(relsum.InFlight(c))
+}
+
+// rangeOf is the sequential range of an ideal-sum quantity.
+func rangeOf(q relsum.Quantity) (min, max int64) {
+	b := relsum.Range(q, 1, nil)
+	return b.Min, b.Max
 }

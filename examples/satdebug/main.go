@@ -52,7 +52,7 @@ func run() error {
 		fmt.Printf("    computation: %d processes, %d events, %d conflict arrows\n",
 			in.C.NumProcs(), in.C.NumEvents(), len(in.C.Messages()))
 		fmt.Printf("    predicate: %v\n", in.Pred)
-		res, err := singular.Detect(in.C, in.Pred, in.Truth(), singular.ChainCover)
+		res, err := singular.Detect(in.C, in.Pred, in.Truth(), singular.ChainCover, 1, nil)
 		if err != nil {
 			return err
 		}

@@ -46,7 +46,6 @@ import (
 
 	"github.com/distributed-predicates/gpd"
 	"github.com/distributed-predicates/gpd/internal/computation"
-	"github.com/distributed-predicates/gpd/internal/core/relsum"
 	"github.com/distributed-predicates/gpd/internal/core/symmetric"
 	"github.com/distributed-predicates/gpd/internal/detect"
 	"github.com/distributed-predicates/gpd/internal/gen"
@@ -387,7 +386,7 @@ func fabricate(i, procs, events int, seed int64) (*computation.Computation, gpd.
 	case 1: // unit-step sum equality
 		gen.UnitStepVar(seed, c, varName)
 		trace, init := stream.SumTrace(c, varName)
-		lo, hi := relsum.SumRange(c, varName)
+		lo, hi := gpd.SumRange(c, varName)
 		k := lo + seed%(hi-lo+2)
 		ps := gpd.Spec{Family: gpd.FamilySum, Var: varName, Rel: gpd.Eq, K: k}
 		return c, ps, stream.Spec{Pred: ps.String(), Procs: procs, Init: init, Retain: true}, trace, nil

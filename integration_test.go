@@ -48,13 +48,13 @@ func TestDetectorsInvariantUnderSerialization(t *testing.T) {
 				seed, min1, max1, min2, max2)
 		}
 		for k := int64(0); k <= 3; k++ {
-			p1, err1 := relsum.Possibly(c, gpd.VarTokens, relsum.Eq, k)
-			p2, err2 := relsum.Possibly(c2, gpd.VarTokens, relsum.Eq, k)
+			p1, _, _, err1 := relsum.Possibly(relsum.Var(c, gpd.VarTokens), relsum.Eq, k, 1, nil)
+			p2, _, _, err2 := relsum.Possibly(relsum.Var(c2, gpd.VarTokens), relsum.Eq, k, 1, nil)
 			if err1 != nil || err2 != nil || p1 != p2 {
 				t.Fatalf("seed %d k=%d: relsum.Possibly mismatch (%v/%v, %v/%v)", seed, k, p1, p2, err1, err2)
 			}
-			d1, _ := relsum.Definitely(c, gpd.VarTokens, relsum.Eq, k)
-			d2, _ := relsum.Definitely(c2, gpd.VarTokens, relsum.Eq, k)
+			d1, _ := relsum.Definitely(relsum.Var(c, gpd.VarTokens), relsum.Eq, k, 1, nil)
+			d2, _ := relsum.Definitely(relsum.Var(c2, gpd.VarTokens), relsum.Eq, k, 1, nil)
 			if d1 != d2 {
 				t.Fatalf("seed %d k=%d: relsum.Definitely mismatch", seed, k)
 			}
@@ -81,12 +81,12 @@ func TestFamilyAgreement(t *testing.T) {
 			locals[gpd.ProcID(p)] = inCS
 			pred.Clauses = append(pred.Clauses, singular.Clause{{Proc: gpd.ProcID(p)}})
 		}
-		conj := conjunctive.Detect(c, locals).Found
-		sres, err := singular.Detect(c, pred, inCS, gpd.StrategyChainCover)
+		conj := conjunctive.Detect(c, locals, nil).Found
+		sres, err := singular.Detect(c, pred, inCS, gpd.StrategyChainCover, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		symm, _, err := symmetric.Possibly(c, symmetric.ExactlyK(3, 3), inCS)
+		symm, _, _, err := symmetric.Possibly(c, symmetric.ExactlyK(3, 3), inCS, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,12 +102,12 @@ func TestFamilyAgreement(t *testing.T) {
 		}
 
 		// "At least two in CS": symmetric vs generic vs sum.
-		twoSym, _, err := symmetric.Possibly(c,
-			symmetric.FromFunc(3, func(m int) bool { return m >= 2 }), inCS)
+		twoSym, _, _, err := symmetric.Possibly(c,
+			symmetric.FromFunc(3, func(m int) bool { return m >= 2 }), inCS, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		twoSum, err := relsum.Possibly(c, gpd.VarCS, relsum.Ge, 2)
+		twoSum, _, _, err := relsum.Possibly(relsum.Var(c, gpd.VarCS), relsum.Ge, 2, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestFamilyAgreement(t *testing.T) {
 		}
 
 		// Definitely modality: interval algorithm vs generic sweep.
-		defConj := conjunctive.DetectDefinitely(c, locals)
+		defConj := conjunctive.DetectDefinitely(c, locals, nil)
 		defGen := gpd.DefinitelyGeneric(c, func(cc *gpd.Computation, k gpd.Cut) bool {
 			return cc.CountTrue(k, inCS) == 3
 		})
@@ -142,7 +142,7 @@ func TestSliceConsistentWithDetection(t *testing.T) {
 		}
 		flag := func(e gpd.Event) bool { return c.Var(gpd.VarFlag, e.ID) != 0 }
 		locals := map[gpd.ProcID]conjunctive.LocalPredicate{0: flag, 1: flag, 2: flag}
-		res := conjunctive.Detect(c, locals)
+		res := conjunctive.Detect(c, locals, nil)
 		o := slicing.ConjunctiveOracle(map[gpd.ProcID]func(gpd.Event) bool{0: flag, 1: flag, 2: flag})
 		s, err := slicing.Compute(c, o)
 		if res.Found {
@@ -168,8 +168,8 @@ func TestCLIQuickPipeline(t *testing.T) {
 	}
 	c2 := roundTrip(t, c)
 	for _, k := range []int64{0, 1, 2, 3, 4, 5} {
-		a, err1 := relsum.Possibly(c, gpd.VarYes, relsum.Eq, k)
-		b, err2 := relsum.Possibly(c2, gpd.VarYes, relsum.Eq, k)
+		a, _, _, err1 := relsum.Possibly(relsum.Var(c, gpd.VarYes), relsum.Eq, k, 1, nil)
+		b, _, _, err2 := relsum.Possibly(relsum.Var(c2, gpd.VarYes), relsum.Eq, k, 1, nil)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -179,7 +179,7 @@ func TestCLIQuickPipeline(t *testing.T) {
 	}
 	// Witness rendering path (exercised via the library, the CLI tests
 	// cover the command itself).
-	ok, cut, err := relsum.PossiblyEqWitness(c, gpd.VarYes, 2)
+	ok, cut, _, err := relsum.Possibly(relsum.Var(c, gpd.VarYes), relsum.Eq, 2, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,10 @@
 // c^g.
 package chains
 
-import "github.com/distributed-predicates/gpd/internal/matching"
+import (
+	"github.com/distributed-predicates/gpd/internal/matching"
+	"github.com/distributed-predicates/gpd/internal/par"
+)
 
 // Cover computes a minimum chain cover of the poset over n elements whose
 // strict order is given by less(i, j) meaning element i is strictly below
@@ -19,17 +22,32 @@ import "github.com/distributed-predicates/gpd/internal/matching"
 // of chains, each a list of element indices in increasing order; every
 // element appears in exactly one chain, and the number of chains is
 // minimum.
-func Cover(n int, less func(i, j int) bool) [][]int {
+//
+// The comparability relation is evaluated on a pool of workers: they
+// fill the adjacency rows (less is pure), and the matching then consumes
+// edges in (i, j) order, so the cover is identical for every worker
+// count. The n^2 less-evaluations dominate when the order test is
+// expensive (e.g. a Precedes check per pair), which is exactly the
+// singular detector's case.
+func Cover(n int, less func(i, j int) bool, workers int) [][]int {
 	// Fulkerson: split each element x into a left copy and a right copy;
 	// connect left(i) to right(j) iff i < j. A maximum matching pairs
 	// each element with its chain successor; uncovered left copies end
 	// chains, so #chains = n - matching size (minimum by König/Dilworth).
-	b := matching.NewBipartite(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j && less(i, j) {
-				b.AddEdge(i, j)
+	rows := make([][]int, n)
+	par.Do(workers, n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			for j := 0; j < n; j++ {
+				if i != j && less(i, j) {
+					rows[i] = append(rows[i], j)
+				}
 			}
+		}
+	})
+	b := matching.NewBipartite(n, n)
+	for i, row := range rows {
+		for _, j := range row {
+			b.AddEdge(i, j)
 		}
 	}
 	_, succ := b.MaxMatching()
@@ -55,6 +73,6 @@ func Cover(n int, less func(i, j int) bool) [][]int {
 
 // Width returns the maximum antichain size of the poset, which by Dilworth
 // equals the minimum chain cover size.
-func Width(n int, less func(i, j int) bool) int {
-	return len(Cover(n, less))
+func Width(n int, less func(i, j int) bool, workers int) int {
+	return len(Cover(n, less, workers))
 }

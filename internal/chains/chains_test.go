@@ -7,7 +7,7 @@ import (
 
 func TestTotalOrderIsOneChain(t *testing.T) {
 	less := func(i, j int) bool { return i < j }
-	cover := Cover(5, less)
+	cover := Cover(5, less, 1)
 	if len(cover) != 1 {
 		t.Fatalf("cover = %v, want one chain", cover)
 	}
@@ -23,12 +23,12 @@ func TestTotalOrderIsOneChain(t *testing.T) {
 
 func TestAntichainNeedsNChains(t *testing.T) {
 	less := func(i, j int) bool { return false }
-	cover := Cover(4, less)
+	cover := Cover(4, less, 1)
 	if len(cover) != 4 {
 		t.Fatalf("antichain cover = %v, want 4 singleton chains", cover)
 	}
-	if Width(4, less) != 4 {
-		t.Fatalf("Width = %d, want 4", Width(4, less))
+	if Width(4, less, 1) != 4 {
+		t.Fatalf("Width = %d, want 4", Width(4, less, 1))
 	}
 }
 
@@ -37,14 +37,14 @@ func TestTwoParallelChains(t *testing.T) {
 	less := func(i, j int) bool {
 		return (i < 3) == (j < 3) && i < j
 	}
-	cover := Cover(6, less)
+	cover := Cover(6, less, 1)
 	if len(cover) != 2 {
 		t.Fatalf("cover size = %d, want 2 (%v)", len(cover), cover)
 	}
 }
 
 func TestEmptyPoset(t *testing.T) {
-	cover := Cover(0, func(i, j int) bool { return false })
+	cover := Cover(0, func(i, j int) bool { return false }, 1)
 	if len(cover) != 0 {
 		t.Fatalf("cover = %v, want empty", cover)
 	}
@@ -102,7 +102,7 @@ func TestDilworthOnRandomPosets(t *testing.T) {
 			}
 		}
 		less := func(i, j int) bool { return rel[i][j] }
-		cover := Cover(n, less)
+		cover := Cover(n, less, 1)
 		// Every element exactly once.
 		seen := make([]bool, n)
 		for _, chain := range cover {

@@ -47,15 +47,10 @@ type Result struct {
 // Detect runs the offline CPDHB algorithm on a sealed computation. locals
 // maps each involved process to its local predicate; processes absent from
 // the map are unconstrained. An empty map yields Found with the initial
-// cut.
-func Detect(c *computation.Computation, locals map[computation.ProcID]LocalPredicate) Result {
-	return DetectTraced(c, locals, nil)
-}
-
-// DetectTraced is Detect with work counters accumulated into the trace:
-// candidate (true) events enumerated and tokens advanced (candidate
-// eliminations, the unit of CPDHB progress).
-func DetectTraced(c *computation.Computation, locals map[computation.ProcID]LocalPredicate, tr *obs.Trace) Result {
+// cut. Work counters accumulate into tr (nil is free): candidate (true)
+// events enumerated and tokens advanced (candidate eliminations, the
+// unit of CPDHB progress).
+func Detect(c *computation.Computation, locals map[computation.ProcID]LocalPredicate, tr *obs.Trace) Result {
 	procs := make([]computation.ProcID, 0, len(locals))
 	for p := range locals {
 		procs = append(procs, p)
@@ -171,7 +166,7 @@ func DetectTables(c *computation.Computation, truth [][]bool) Result {
 			return e.Index < len(row) && row[e.Index]
 		}
 	}
-	return Detect(c, locals)
+	return Detect(c, locals, nil)
 }
 
 // Checker is the online weak-conjunctive detector. Application processes

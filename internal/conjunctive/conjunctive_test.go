@@ -118,7 +118,7 @@ func TestDetectEmptySpec(t *testing.T) {
 	c := computation.New()
 	c.AddProcess()
 	c.MustSeal()
-	res := Detect(c, nil)
+	res := Detect(c, nil, nil)
 	if !res.Found {
 		t.Fatal("empty conjunction must hold")
 	}
@@ -134,7 +134,7 @@ func TestDetectNoTrueEvents(t *testing.T) {
 	c.MustSeal()
 	res := Detect(c, map[computation.ProcID]LocalPredicate{
 		p: func(computation.Event) bool { return false },
-	})
+	}, nil)
 	if res.Found {
 		t.Fatal("no true events: must not be found")
 	}
@@ -152,7 +152,7 @@ func TestDetectInitialStates(t *testing.T) {
 	res := Detect(c, map[computation.ProcID]LocalPredicate{
 		p0: func(e computation.Event) bool { return e.IsInitial() },
 		p1: func(e computation.Event) bool { return e.IsInitial() },
-	})
+	}, nil)
 	if !res.Found {
 		t.Fatal("initial-state conjunction must be found")
 	}
@@ -178,7 +178,7 @@ func TestDetectOrderedTrueEventsEliminated(t *testing.T) {
 	res := Detect(c, map[computation.ProcID]LocalPredicate{
 		p0: func(e computation.Event) bool { return e.ID == a },
 		p1: func(e computation.Event) bool { return e.ID == b },
-	})
+	}, nil)
 	if res.Found {
 		t.Fatal("a and b are inconsistent (next(a) -> b): must not be found")
 	}

@@ -60,15 +60,10 @@ func trueIntervals(c *computation.Computation, p computation.ProcID, pred LocalP
 
 // DetectDefinitely reports whether every run of the computation passes
 // through a global state satisfying the conjunction of the local
-// predicates. An empty map is trivially definite.
-func DetectDefinitely(c *computation.Computation, locals map[computation.ProcID]LocalPredicate) bool {
-	return DetectDefinitelyTraced(c, locals, nil)
-}
-
-// DetectDefinitelyTraced is DetectDefinitely with work counters accumulated
-// into the trace: true intervals extracted and intervals eliminated during
-// the selection search.
-func DetectDefinitelyTraced(c *computation.Computation, locals map[computation.ProcID]LocalPredicate, tr *obs.Trace) bool {
+// predicates. An empty map is trivially definite. Work counters
+// accumulate into tr (nil is free): true intervals extracted and
+// intervals eliminated during the selection search.
+func DetectDefinitely(c *computation.Computation, locals map[computation.ProcID]LocalPredicate, tr *obs.Trace) bool {
 	procs := make([]computation.ProcID, 0, len(locals))
 	for p := range locals {
 		procs = append(procs, p)

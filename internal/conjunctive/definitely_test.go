@@ -34,7 +34,7 @@ func TestDetectDefinitelyMatchesOracle(t *testing.T) {
 				return e.Index < len(row) && row[e.Index]
 			}
 		}
-		got := DetectDefinitely(c, locals)
+		got := DetectDefinitely(c, locals, nil)
 		want := latticeDefinitely(c, truth)
 		if got != want {
 			t.Fatalf("trial %d: DetectDefinitely = %v, oracle = %v (procs=%d)",
@@ -47,7 +47,7 @@ func TestDetectDefinitelyTrivial(t *testing.T) {
 	c := computation.New()
 	c.AddProcess()
 	c.MustSeal()
-	if !DetectDefinitely(c, nil) {
+	if !DetectDefinitely(c, nil, nil) {
 		t.Fatal("empty conjunction is trivially definite")
 	}
 }
@@ -63,7 +63,7 @@ func TestDetectDefinitelyInitialStates(t *testing.T) {
 	ok := DetectDefinitely(c, map[computation.ProcID]LocalPredicate{
 		p0: func(e computation.Event) bool { return e.IsInitial() },
 		p1: func(e computation.Event) bool { return e.IsInitial() },
-	})
+	}, nil)
 	if !ok {
 		t.Fatal("initial conjunction must be definite")
 	}
@@ -86,7 +86,7 @@ func TestDetectDefinitelyOrderedFlips(t *testing.T) {
 	ok := DetectDefinitely(c, map[computation.ProcID]LocalPredicate{
 		p0: func(e computation.Event) bool { return e.ID == a },
 		p1: func(e computation.Event) bool { return e.ID == b },
-	})
+	}, nil)
 	if ok {
 		t.Fatal("intervals cannot overlap in any run")
 	}
@@ -109,10 +109,10 @@ func TestDetectDefinitelyOrderedFlips(t *testing.T) {
 		q0: func(e computation.Event) bool { return e.ID == x },
 		q1: func(e computation.Event) bool { return e.ID == y },
 	}
-	if DetectDefinitely(c2, locals) {
+	if DetectDefinitely(c2, locals, nil) {
 		t.Fatal("a run may schedule x2 before y: not definite")
 	}
-	if !Detect(c2, locals).Found {
+	if !Detect(c2, locals, nil).Found {
 		t.Fatal("but the overlap is possible")
 	}
 	_ = x2
@@ -130,7 +130,7 @@ func TestDetectDefinitelyOpenIntervals(t *testing.T) {
 	ok := DetectDefinitely(c, map[computation.ProcID]LocalPredicate{
 		p0: func(e computation.Event) bool { return e.ID == a },
 		p1: func(e computation.Event) bool { return e.ID == b },
-	})
+	}, nil)
 	if !ok {
 		t.Fatal("stable conjunction must be definite")
 	}
@@ -143,7 +143,7 @@ func TestDetectDefinitelyNoTrueStates(t *testing.T) {
 	c.MustSeal()
 	if DetectDefinitely(c, map[computation.ProcID]LocalPredicate{
 		p: func(computation.Event) bool { return false },
-	}) {
+	}, nil) {
 		t.Fatal("no true states: cannot be definite")
 	}
 }

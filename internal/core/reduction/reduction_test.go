@@ -47,7 +47,7 @@ func TestTheorem1Reduction(t *testing.T) {
 			t.Fatalf("trial %d: SingularFromCNF: %v", trial, err)
 		}
 		want := sat.Satisfiable(f)
-		res, err := singular.Detect(in.C, in.Pred, in.Truth(), singular.ChainCover)
+		res, err := singular.Detect(in.C, in.Pred, in.Truth(), singular.ChainCover, 1, nil)
 		if err != nil {
 			t.Fatalf("trial %d: Detect: %v", trial, err)
 		}
@@ -134,7 +134,7 @@ func TestSingularFromCNFKnownInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := singular.Detect(in.C, in.Pred, in.Truth(), singular.ChainCover)
+	res, err := singular.Detect(in.C, in.Pred, in.Truth(), singular.ChainCover, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestSingularFromCNFKnownInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := singular.Detect(in2.C, in2.Pred, in2.Truth(), singular.ChainCover)
+	res2, err := singular.Detect(in2.C, in2.Pred, in2.Truth(), singular.ChainCover, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 // causality (every event arrives after all of its causal predecessors),
 // and maintains the exact minimum and maximum of S over every consistent
 // cut of the prefix observed so far. It is the streaming counterpart of
-// SumRange, in the spirit of Chauhan et al., "A Distributed Abstraction
+// Range, in the spirit of Chauhan et al., "A Distributed Abstraction
 // Algorithm for Online Predicate Detection" (arXiv:1304.4326).
 //
 // Memory is bounded by pruning: once a downward-closed set of events P is
@@ -27,7 +27,7 @@ import (
 //     what post-prune flushes compute.
 //
 // The running extrema therefore latch the true prefix extrema at every
-// Flush, and after the final event they equal SumRange of the complete
+// Flush, and after the final event they equal Range of the complete
 // computation. For unit-step variables, successive flush intervals share
 // the sum of the pruned cut, so every integer in [Min, Max] is attained
 // by some consistent cut (the intermediate-value property of Theorem 4
@@ -50,9 +50,8 @@ type RangeTracker struct {
 	g     maxflow.Graph // closure arena, reused by every Flush
 	remap []int         // Prune scratch: old slot -> new slot, -1 if dropped
 
-	dirty   bool       // events observed since the last Flush
-	flushes int        // closure recomputations, for stats
-	tr      *obs.Trace // optional work accounting (nil: free)
+	dirty bool       // events observed since the last Flush
+	tr    *obs.Trace // optional work accounting (nil: free)
 }
 
 // SetTrace routes the tracker's closure work counters (augmenting paths,
@@ -103,7 +102,6 @@ func (t *RangeTracker) Flush() (min, max int64) {
 		return t.min, t.max
 	}
 	t.dirty = false
-	t.flushes++
 	if len(t.weights) == 0 {
 		return t.min, t.max
 	}
@@ -165,11 +163,5 @@ func (t *RangeTracker) Prune(ids []int64) {
 // Range returns the running extrema as of the last Flush.
 func (t *RangeTracker) Range() (min, max int64) { return t.min, t.max }
 
-// Baseline returns S at the pruned cut.
-func (t *RangeTracker) Baseline() int64 { return t.baseline }
-
 // Window returns the number of retained (unpruned) events.
 func (t *RangeTracker) Window() int { return len(t.weights) }
-
-// Flushes returns the number of closure recomputations performed.
-func (t *RangeTracker) Flushes() int { return t.flushes }

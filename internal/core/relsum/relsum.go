@@ -17,15 +17,19 @@
 // primitives to earlier work, and this package decides them by reachability
 // inside the cut lattice restricted to the complementary region (worst-case
 // exponential, unlike the Possibly side).
+//
+// The machinery needs only that S is an ideal sum: a base value plus a
+// weight per event, summed over the events of the cut. A Quantity is
+// one such sum, built for a variable (Var), for channel occupancy
+// (InFlight: sends minus receives), for the true-count of a boolean
+// variable (Count, the §4.3 reduction of symmetric predicates) or from
+// arbitrary weights (Weighted). Range, Possibly and Definitely decide
+// every one of them; RangeTracker is the streamed counterpart of Range.
 package relsum
 
 import (
 	"errors"
 	"fmt"
-
-	"github.com/distributed-predicates/gpd/internal/computation"
-	"github.com/distributed-predicates/gpd/internal/lattice"
-	"github.com/distributed-predicates/gpd/internal/obs"
 )
 
 // ErrNotUnitStep indicates a variable that changes by more than one at
@@ -110,93 +114,27 @@ func (r Relop) Eval(s, k int64) bool {
 	}
 }
 
-// delta returns the change of the named variable caused by the event
-// (value after the event minus value after its local predecessor).
-func delta(c *computation.Computation, name string, id computation.EventID) int64 {
-	prev := c.Prev(id)
-	if prev == computation.NoEvent {
-		return 0 // initial events carry the baseline, not a change
-	}
-	return c.Var(name, id) - c.Var(name, prev)
-}
-
-// MaxStep returns the largest absolute per-event change of the named
-// variable across the computation.
-func MaxStep(c *computation.Computation, name string) int64 {
-	var max int64
-	c.Events(func(e computation.Event) bool {
-		d := delta(c, name, e.ID)
-		if d < 0 {
-			d = -d
-		}
-		if d > max {
-			max = d
-		}
-		return true
-	})
-	return max
-}
-
-// ValidateUnitStep returns ErrNotUnitStep (wrapped, identifying the event)
-// unless every event changes the variable by at most one.
-func ValidateUnitStep(c *computation.Computation, name string) error {
-	var bad computation.Event
-	found := false
-	c.Events(func(e computation.Event) bool {
-		d := delta(c, name, e.ID)
-		if d > 1 || d < -1 {
-			bad, found = e, true
-			return false
-		}
-		return true
-	})
-	if found {
-		return fmt.Errorf("%w: event %v changes %q by %d",
-			ErrNotUnitStep, bad, name, delta(c, name, bad.ID))
-	}
-	return nil
-}
-
-// SumRange returns the minimum and maximum of S = sum of the named
-// variable over all consistent cuts, in polynomial time via two max-weight
-// closure computations on the event DAG. It does not require unit steps.
-func SumRange(c *computation.Computation, name string) (min, max int64) {
-	return SumRangeTraced(c, name, nil)
-}
-
-// SumRangeTraced is SumRange with closure work counters (augmenting paths,
-// closure sizes) accumulated into the trace.
-func SumRangeTraced(c *computation.Computation, name string, tr *obs.Trace) (min, max int64) {
-	return SumRangePar(c, name, 1, tr)
-}
-
-// sumRangeWitness is SumRange but also returns cuts achieving the extremes.
-func sumRangeWitness(c *computation.Computation, name string, tr *obs.Trace) (min, max int64, argmin, argmax computation.Cut) {
-	return sumRangeWitnessPar(c, name, 1, tr)
-}
-
-// maskToCut converts a closure membership mask over event ids into the
-// frontier cut containing exactly the chosen events plus all initial
-// events.
-func maskToCut(c *computation.Computation, mask []bool) computation.Cut {
-	k := c.InitialCut()
-	c.Events(func(e computation.Event) bool {
-		if !e.IsInitial() && mask[int(e.ID)] && e.Index > k[int(e.Proc)] {
-			k[int(e.Proc)] = e.Index
-		}
-		return true
-	})
-	return k
-}
-
-// Sum evaluates S at a cut.
-func Sum(c *computation.Computation, name string, k computation.Cut) int64 {
-	return c.SumVar(name, k)
-}
-
-// region returns the lattice predicate "S relop k".
-func region(name string, r Relop, k int64) lattice.Predicate {
-	return func(c *computation.Computation, cut computation.Cut) bool {
-		return r.Eval(c.SumVar(name, cut), k)
+// Attainable reports whether a quantity ranging over exactly [min, max]
+// on the consistent cuts satisfies "quantity relop k" at one of them:
+// the Theorem 7(1) range decision. The order operators and != need only
+// the extrema; == also needs every integer in [min, max] attained, which
+// holds for unit-step quantities (Theorem 4), so callers deciding ==
+// check unit steps first.
+func (r Relop) Attainable(min, max, k int64) bool {
+	switch r {
+	case Lt:
+		return min < k
+	case Le:
+		return min <= k
+	case Ge:
+		return max >= k
+	case Gt:
+		return max > k
+	case Ne:
+		return min != k || max != k
+	case Eq:
+		return min <= k && k <= max
+	default:
+		return false
 	}
 }

@@ -3,6 +3,7 @@ package relsum
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/distributed-predicates/gpd/internal/computation"
@@ -10,6 +11,20 @@ import (
 )
 
 const varName = "x"
+
+// sumRange is the range of the named variable sum.
+func sumRange(c *computation.Computation, name string) (min, max int64) {
+	b := Range(Var(c, name), 1, nil)
+	return b.Min, b.Max
+}
+
+// region returns the lattice predicate "S relop k" for the named
+// variable sum, evaluated directly from the variable's values.
+func region(name string, r Relop, k int64) lattice.Predicate {
+	return func(c *computation.Computation, cut computation.Cut) bool {
+		return r.Eval(c.SumVar(name, cut), k)
+	}
+}
 
 // unitStepComputation builds a random computation whose variable x changes
 // by -1, 0 or +1 at every event.
@@ -46,9 +61,9 @@ func TestSumRangeMatchesLattice(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		c := unitStepComputation(rng, 2+rng.Intn(3), 4, 10)
 		wantMin, wantMax := lattice.SumRange(c, varName)
-		gotMin, gotMax := SumRange(c, varName)
+		gotMin, gotMax := sumRange(c, varName)
 		if gotMin != wantMin || gotMax != wantMax {
-			t.Fatalf("trial %d: SumRange = [%d,%d], lattice = [%d,%d]",
+			t.Fatalf("trial %d: Range = [%d,%d], lattice = [%d,%d]",
 				trial, gotMin, gotMax, wantMin, wantMax)
 		}
 	}
@@ -85,9 +100,9 @@ func TestSumRangeArbitrarySteps(t *testing.T) {
 		}
 		c.MustSeal()
 		wantMin, wantMax := lattice.SumRange(c, varName)
-		gotMin, gotMax := SumRange(c, varName)
+		gotMin, gotMax := sumRange(c, varName)
 		if gotMin != wantMin || gotMax != wantMax {
-			t.Fatalf("trial %d: SumRange = [%d,%d], lattice = [%d,%d]",
+			t.Fatalf("trial %d: Range = [%d,%d], lattice = [%d,%d]",
 				trial, gotMin, gotMax, wantMin, wantMax)
 		}
 	}
@@ -100,13 +115,19 @@ func TestPossiblyMatchesLattice(t *testing.T) {
 		c := unitStepComputation(rng, 2+rng.Intn(3), 4, 8)
 		k := int64(rng.Intn(9) - 4)
 		for _, r := range relops {
-			got, err := Possibly(c, varName, r, k)
+			got, cut, b, err := Possibly(Var(c, varName), r, k, 1, nil)
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, r, err)
 			}
 			want, _ := lattice.Possibly(c, region(varName, r, k))
 			if got != want {
 				t.Fatalf("trial %d: Possibly(S %v %d) = %v, oracle = %v", trial, r, k, got, want)
+			}
+			if got && (!c.CutConsistent(cut) || !r.Eval(c.SumVar(varName, cut), k)) {
+				t.Fatalf("trial %d: Possibly(S %v %d) witness %v does not satisfy it", trial, r, k, cut)
+			}
+			if wantMin, wantMax := lattice.SumRange(c, varName); b.Min != wantMin || b.Max != wantMax {
+				t.Fatalf("trial %d: Possibly range [%d,%d], lattice [%d,%d]", trial, b.Min, b.Max, wantMin, wantMax)
 			}
 		}
 	}
@@ -117,7 +138,7 @@ func TestPossiblyEqWitness(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		c := unitStepComputation(rng, 2+rng.Intn(3), 4, 8)
 		k := int64(rng.Intn(9) - 4)
-		ok, cut, err := PossiblyEqWitness(c, varName, k)
+		ok, cut, _, err := Possibly(Var(c, varName), Eq, k, 1, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -143,7 +164,7 @@ func TestDefinitelyMatchesLattice(t *testing.T) {
 		c := unitStepComputation(rng, 2+rng.Intn(2), 4, 6)
 		k := int64(rng.Intn(7) - 3)
 		for _, r := range relops {
-			got, err := Definitely(c, varName, r, k)
+			got, err := Definitely(Var(c, varName), r, k, 1, nil)
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, r, err)
 			}
@@ -194,17 +215,15 @@ func TestArbitraryStepEqRejected(t *testing.T) {
 	id := c.AddInternal(p)
 	c.SetVar(varName, id, 5) // jump of 5
 	c.MustSeal()
-	if _, err := Possibly(c, varName, Eq, 3); !errors.Is(err, ErrNotUnitStep) {
+	q := Var(c, varName)
+	if _, _, _, err := Possibly(q, Eq, 3, 1, nil); !errors.Is(err, ErrNotUnitStep) {
 		t.Errorf("Possibly Eq: err = %v, want ErrNotUnitStep", err)
 	}
-	if _, err := Definitely(c, varName, Eq, 3); !errors.Is(err, ErrNotUnitStep) {
+	if _, err := Definitely(q, Eq, 3, 1, nil); !errors.Is(err, ErrNotUnitStep) {
 		t.Errorf("Definitely Eq: err = %v, want ErrNotUnitStep", err)
 	}
-	if _, _, err := PossiblyEqWitness(c, varName, 3); !errors.Is(err, ErrNotUnitStep) {
-		t.Errorf("PossiblyEqWitness: err = %v, want ErrNotUnitStep", err)
-	}
 	// Order operators remain exact with arbitrary steps.
-	ok, err := Possibly(c, varName, Ge, 5)
+	ok, _, _, err := Possibly(q, Ge, 5, 1, nil)
 	if err != nil || !ok {
 		t.Errorf("Possibly Ge = %v, %v; want true", ok, err)
 	}
@@ -218,14 +237,23 @@ func TestMaxStepAndValidate(t *testing.T) {
 	c.SetVar(varName, a, 1)
 	c.SetVar(varName, b, -1) // step of -2
 	c.MustSeal()
-	if got := MaxStep(c, varName); got != 2 {
-		t.Errorf("MaxStep = %d, want 2", got)
+	q := Var(c, varName)
+	if got := q.Weight(c.Event(b)); got != -2 {
+		t.Errorf("Weight = %d, want -2", got)
 	}
-	if err := ValidateUnitStep(c, varName); !errors.Is(err, ErrNotUnitStep) {
-		t.Errorf("ValidateUnitStep err = %v", err)
+	// The error keeps its cause: the offending event, the variable and
+	// the step.
+	err := q.ValidateUnitStep()
+	if !errors.Is(err, ErrNotUnitStep) {
+		t.Fatalf("ValidateUnitStep err = %v", err)
+	}
+	for _, want := range []string{c.Event(b).String(), `"x"`, "by -2"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("ValidateUnitStep err %q does not name %s", err, want)
+		}
 	}
 	// A unit-step variable passes.
-	if err := ValidateUnitStep(c, "missing"); err != nil {
+	if err := Var(c, "missing").ValidateUnitStep(); err != nil {
 		t.Errorf("all-zero variable must validate: %v", err)
 	}
 }
@@ -296,7 +324,7 @@ func TestTokenConservationExample(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.MustSeal()
-	min, max := SumRange(c, varName)
+	min, max := sumRange(c, varName)
 	// While a token is in flight the observed sum drops to 1, but the
 	// two transfers cannot overlap (p1 forwards only after receiving),
 	// so the sum never reaches 0 and never exceeds 2.
@@ -306,11 +334,11 @@ func TestTokenConservationExample(t *testing.T) {
 	if min != 1 {
 		t.Errorf("min = %d, want 1 (one token in flight at a time)", min)
 	}
-	ok, err := Possibly(c, varName, Eq, 1)
+	ok, _, _, err := Possibly(Var(c, varName), Eq, 1, 1, nil)
 	if err != nil || !ok {
 		t.Errorf("Possibly(S=1) = %v, %v", ok, err)
 	}
-	def, err := Definitely(c, varName, Le, 1)
+	def, err := Definitely(Var(c, varName), Le, 1, 1, nil)
 	if err != nil || !def {
 		t.Errorf("Definitely(S<=1) = %v, %v; every run observes a token in flight", def, err)
 	}

@@ -92,34 +92,36 @@ func TestTheorem7AgainstDetectors(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		c := unitStepComputation(rng, 2+rng.Intn(2), 4, 6)
 		k := int64(rng.Intn(7) - 3)
-		eq, err := Possibly(c, varName, Eq, k)
+		q := Var(c, varName)
+		eq, _, _, err := Possibly(q, Eq, k, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		le, _ := Possibly(c, varName, Le, k)
-		ge, _ := Possibly(c, varName, Ge, k)
+		le, _, _, _ := Possibly(q, Le, k, 1, nil)
+		ge, _, _, _ := Possibly(q, Ge, k, 1, nil)
 		if eq != (le && ge) {
 			t.Fatalf("trial %d: Theorem 7(1) broken by detectors: eq=%v le=%v ge=%v", trial, eq, le, ge)
 		}
-		deq, err := Definitely(c, varName, Eq, k)
+		deq, err := Definitely(q, Eq, k, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dle, _ := Definitely(c, varName, Le, k)
-		dge, _ := Definitely(c, varName, Ge, k)
+		dle, _ := Definitely(q, Le, k, 1, nil)
+		dge, _ := Definitely(q, Ge, k, 1, nil)
 		if deq != (dle && dge) {
 			t.Fatalf("trial %d: Theorem 7(2) broken by detectors: eq=%v le=%v ge=%v", trial, deq, dle, dge)
 		}
 	}
 }
 
-// TestSumRangeIsTight: both extremes returned by SumRange are attained by
+// TestSumRangeIsTight: both extremes returned by Range are attained by
 // actual consistent cuts (the closure masks are witnesses).
 func TestSumRangeIsTight(t *testing.T) {
 	rng := rand.New(rand.NewSource(269))
 	for trial := 0; trial < 80; trial++ {
 		c := unitStepComputation(rng, 2+rng.Intn(3), 5, 8)
-		min, max, argmin, argmax := sumRangeWitness(c, varName, nil)
+		b := Range(Var(c, varName), 1, nil)
+		min, max, argmin, argmax := b.Min, b.Max, b.ArgMin, b.ArgMax
 		if !c.CutConsistent(argmin) || !c.CutConsistent(argmax) {
 			t.Fatalf("trial %d: extreme cuts not consistent", trial)
 		}
@@ -140,8 +142,8 @@ func TestDefinitelyMonotoneInK(t *testing.T) {
 		c := unitStepComputation(rng, 2, 5, 5)
 		prevLe, prevGe := false, true
 		for k := int64(-5); k <= 5; k++ {
-			le, _ := Definitely(c, varName, Le, k)
-			ge, _ := Definitely(c, varName, Ge, k)
+			le, _ := Definitely(Var(c, varName), Le, k, 1, nil)
+			ge, _ := Definitely(Var(c, varName), Ge, k, 1, nil)
 			if prevLe && !le {
 				t.Fatalf("trial %d: Definitely(S<=k) lost at k=%d", trial, k)
 			}

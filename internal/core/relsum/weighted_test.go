@@ -26,10 +26,10 @@ func TestInFlightWeightMatchesDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(401))
 	for trial := 0; trial < 60; trial++ {
 		c := gen.Random(gen.Params{Seed: rng.Int63(), Procs: 3, Events: 5, MsgFrac: 0.8})
-		w := InFlightWeight(c)
+		q := InFlight(c)
 		lattice.Explore(c, func(k computation.Cut) bool {
 			want := bruteInFlight(c, k)
-			got := WeightedAt(c, 0, w, k)
+			got := q.At(k)
 			if got != want {
 				t.Fatalf("trial %d cut %v: weighted %d, brute %d", trial, k, got, want)
 			}
@@ -42,7 +42,8 @@ func TestInFlightRangeMatchesLattice(t *testing.T) {
 	rng := rand.New(rand.NewSource(409))
 	for trial := 0; trial < 80; trial++ {
 		c := gen.Random(gen.Params{Seed: rng.Int63(), Procs: 3, Events: 5, MsgFrac: 1.0})
-		gotMin, gotMax := InFlightRange(c)
+		b := Range(InFlight(c), 1, nil)
+		gotMin, gotMax := b.Min, b.Max
 		wantMin, wantMax := int64(1<<62), int64(-1<<62)
 		lattice.Explore(c, func(k computation.Cut) bool {
 			n := bruteInFlight(c, k)
@@ -55,7 +56,7 @@ func TestInFlightRangeMatchesLattice(t *testing.T) {
 			return true
 		})
 		if gotMin != wantMin || gotMax != wantMax {
-			t.Fatalf("trial %d: InFlightRange = [%d,%d], lattice = [%d,%d]",
+			t.Fatalf("trial %d: Range(InFlight) = [%d,%d], lattice = [%d,%d]",
 				trial, gotMin, gotMax, wantMin, wantMax)
 		}
 	}
@@ -64,8 +65,7 @@ func TestInFlightRangeMatchesLattice(t *testing.T) {
 func TestInFlightMinIsZero(t *testing.T) {
 	// The initial cut has nothing in flight, so min is always 0.
 	c := gen.Random(gen.Params{Seed: 5, Procs: 4, Events: 8, MsgFrac: 0.8})
-	min, _ := InFlightRange(c)
-	if min != 0 {
+	if min := Range(InFlight(c), 1, nil).Min; min != 0 {
 		t.Fatalf("min in-flight = %d, want 0", min)
 	}
 }
@@ -74,10 +74,11 @@ func TestPossiblyWeightedAllRelops(t *testing.T) {
 	rng := rand.New(rand.NewSource(419))
 	for trial := 0; trial < 60; trial++ {
 		c := gen.Random(gen.Params{Seed: rng.Int63(), Procs: 3, Events: 4, MsgFrac: 0.8})
-		w := InFlightWeight(c)
+		// Occupancy rebuilt from its event weights.
+		q := Weighted(c, 0, InFlight(c).Weight)
 		for _, r := range []Relop{Lt, Le, Eq, Ge, Gt, Ne} {
 			for k := int64(0); k <= 3; k++ {
-				got, err := PossiblyWeighted(c, 0, w, r, k)
+				got, _, _, err := Possibly(q, r, k, 1, nil)
 				if errors.Is(err, ErrNotUnitStep) {
 					continue // an event carries several messages
 				}
@@ -88,7 +89,7 @@ func TestPossiblyWeightedAllRelops(t *testing.T) {
 					return r.Eval(bruteInFlight(cc, cut), k)
 				})
 				if got != want {
-					t.Fatalf("trial %d: PossiblyWeighted(inflight %v %d) = %v, oracle = %v",
+					t.Fatalf("trial %d: Possibly(weighted inflight %v %d) = %v, oracle = %v",
 						trial, r, k, got, want)
 				}
 			}
@@ -101,25 +102,34 @@ func TestPossiblyQuiescentWitness(t *testing.T) {
 	checked := 0
 	for trial := 0; trial < 80; trial++ {
 		c := gen.Random(gen.Params{Seed: rng.Int63(), Procs: 3, Events: 5, MsgFrac: 0.6})
-		w := InFlightWeight(c)
-		if validateUnitWeight(c, w) != nil {
+		q := InFlight(c)
+		if q.ValidateUnitStep() != nil {
 			continue // multi-message events: out of scope for equality
 		}
 		checked++
-		_, max := InFlightRange(c)
+		max := Range(q, 1, nil).Max
+		// The same occupancy shifted by a nonzero base: the witness
+		// scan must start from the base, not from zero.
+		const base = 7
+		shifted := Weighted(c, base, q.Weight)
 		for k := int64(0); k <= max; k++ {
-			ok, cut, err := PossiblyQuiescent(c, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				t.Fatalf("trial %d: occupancy %d within [0,%d] must be witnessed", trial, k, max)
-			}
-			if got := bruteInFlight(c, cut); got != k {
-				t.Fatalf("trial %d: witness has %d in flight, want %d", trial, got, k)
-			}
-			if !c.CutConsistent(cut) {
-				t.Fatalf("trial %d: witness cut inconsistent", trial)
+			for _, tc := range []struct {
+				q   Quantity
+				off int64
+			}{{q, 0}, {shifted, base}} {
+				ok, cut, _, err := Possibly(tc.q, Eq, k+tc.off, 1, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					t.Fatalf("trial %d base %d: occupancy %d within [0,%d] must be witnessed", trial, tc.off, k, max)
+				}
+				if got := bruteInFlight(c, cut); got != k {
+					t.Fatalf("trial %d base %d: witness has %d in flight, want %d", trial, tc.off, got, k)
+				}
+				if !c.CutConsistent(cut) {
+					t.Fatalf("trial %d: witness cut inconsistent", trial)
+				}
 			}
 		}
 	}
@@ -129,8 +139,8 @@ func TestPossiblyQuiescentWitness(t *testing.T) {
 }
 
 func TestWeightedSumEquivalentToVarSum(t *testing.T) {
-	// The per-variable SumRange must equal the weighted formulation with
-	// delta weights — the refactoring identity.
+	// The variable quantity must equal the weighted formulation with
+	// hand-built delta weights, cut by cut and in range.
 	rng := rand.New(rand.NewSource(431))
 	for trial := 0; trial < 50; trial++ {
 		c := unitStepComputation(rng, 3, 4, 6)
@@ -138,11 +148,19 @@ func TestWeightedSumEquivalentToVarSum(t *testing.T) {
 		for p := 0; p < c.NumProcs(); p++ {
 			base += c.Var(varName, c.Initial(computation.ProcID(p)).ID)
 		}
-		w := func(e computation.Event) int64 { return delta(c, varName, e.ID) }
-		wmin, wmax := WeightedRange(c, base, w)
-		smin, smax := SumRange(c, varName)
-		if wmin != smin || wmax != smax {
-			t.Fatalf("trial %d: weighted [%d,%d] != var-sum [%d,%d]", trial, wmin, wmax, smin, smax)
+		delta := func(e computation.Event) int64 {
+			return c.Var(varName, e.ID) - c.Var(varName, c.Prev(e.ID))
+		}
+		v, w := Var(c, varName), Weighted(c, base, delta)
+		lattice.Explore(c, func(k computation.Cut) bool {
+			if v.At(k) != w.At(k) || v.At(k) != c.SumVar(varName, k) {
+				t.Fatalf("trial %d cut %v: var %d, weighted %d, sum %d", trial, k, v.At(k), w.At(k), c.SumVar(varName, k))
+			}
+			return true
+		})
+		wb, vb := Range(w, 1, nil), Range(v, 1, nil)
+		if wb.Min != vb.Min || wb.Max != vb.Max {
+			t.Fatalf("trial %d: weighted [%d,%d] != var-sum [%d,%d]", trial, wb.Min, wb.Max, vb.Min, vb.Max)
 		}
 	}
 }
@@ -156,7 +174,8 @@ func TestTokenRingChannelBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		min, max := InFlightRange(c)
+		b := Range(InFlight(c), 1, nil)
+		min, max := b.Min, b.Max
 		if min != 0 {
 			t.Fatalf("seed %d: min in-flight = %d", seed, min)
 		}
@@ -171,11 +190,11 @@ func TestDefinitelyWeightedMatchesLattice(t *testing.T) {
 	relops := []Relop{Lt, Le, Eq, Ge, Gt, Ne}
 	for trial := 0; trial < 60; trial++ {
 		c := gen.Random(gen.Params{Seed: rng.Int63(), Procs: 3, Events: 4, MsgFrac: 0.6})
-		w := InFlightWeight(c)
-		unit := validateUnitWeight(c, w) == nil
+		q := InFlight(c)
+		unit := q.ValidateUnitStep() == nil
 		for _, r := range relops {
 			for k := int64(0); k <= 2; k++ {
-				got, err := DefinitelyWeighted(c, 0, w, r, k)
+				got, err := Definitely(q, r, k, 1, nil)
 				if err != nil {
 					if r == Eq && !unit {
 						continue
@@ -186,7 +205,7 @@ func TestDefinitelyWeightedMatchesLattice(t *testing.T) {
 					return r.Eval(bruteInFlight(cc, cut), k)
 				})
 				if got != want {
-					t.Fatalf("trial %d: DefinitelyWeighted(inflight %v %d) = %v, oracle = %v",
+					t.Fatalf("trial %d: Definitely(inflight %v %d) = %v, oracle = %v",
 						trial, r, k, got, want)
 				}
 			}
@@ -196,7 +215,10 @@ func TestDefinitelyWeightedMatchesLattice(t *testing.T) {
 
 func TestDefinitelyWeightedUnknownRelop(t *testing.T) {
 	c := gen.Random(gen.Params{Seed: 1, Procs: 2, Events: 2, MsgFrac: 0})
-	if _, err := DefinitelyWeighted(c, 0, InFlightWeight(c), Relop(42), 0); err == nil {
+	if _, err := Definitely(InFlight(c), Relop(42), 0, 1, nil); err == nil {
+		t.Fatal("unknown relop must error")
+	}
+	if _, _, _, err := Possibly(InFlight(c), Relop(42), 0, 1, nil); err == nil {
 		t.Fatal("unknown relop must error")
 	}
 }

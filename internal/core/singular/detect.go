@@ -73,25 +73,17 @@ type Result struct {
 
 // Detect decides Possibly(p) on the sealed computation using the given
 // strategy. truth supplies the per-process boolean variables.
-func Detect(c *computation.Computation, p *Predicate, truth Truth, strategy Strategy) (Result, error) {
-	return DetectTraced(c, p, truth, strategy, nil)
-}
-
-// DetectTraced is Detect with work counters accumulated into the trace:
-// candidate (true) events enumerated, CPDHB sub-runs (queue combinations)
-// tried, candidates eliminated, plus a note naming the strategy that
-// produced the answer (which, under Auto, the caller cannot otherwise
-// predict).
-func DetectTraced(c *computation.Computation, p *Predicate, truth Truth, strategy Strategy, tr *obs.Trace) (Result, error) {
-	return DetectPar(c, p, truth, strategy, 1, tr)
-}
-
-// DetectPar is DetectTraced with the per-selection CPDHB runs and the
-// chain-cover comparability scans spread over a bounded worker pool.
-// Selections are merged in odometer order, so the result (witness,
-// combination and elimination counts included) is identical for every
-// worker count; workers <= 1 runs the exact sequential code.
-func DetectPar(c *computation.Computation, p *Predicate, truth Truth, strategy Strategy, workers int, tr *obs.Trace) (Result, error) {
+//
+// The per-selection CPDHB runs and the chain-cover comparability scans
+// spread over a pool of workers. Selections are merged in odometer
+// order, so the result (witness, combination and elimination counts
+// included) is identical for every worker count; workers <= 1 runs the
+// exact sequential code. Work counters accumulate into tr (nil is
+// free): candidate (true) events enumerated, CPDHB sub-runs (queue
+// combinations) tried, candidates eliminated, plus a note naming the
+// strategy that produced the answer (which, under Auto, the caller
+// cannot otherwise predict).
+func Detect(c *computation.Computation, p *Predicate, truth Truth, strategy Strategy, workers int, tr *obs.Trace) (Result, error) {
 	res, err := detect(c, p, truth, strategy, workers)
 	if err == nil && tr != nil {
 		tr.Note("singular.strategy", res.Strategy.String())

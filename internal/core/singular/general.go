@@ -51,7 +51,7 @@ func detectChains(
 ) (Result, error) {
 	perClause := make([][][]computation.EventID, len(cands))
 	for i, t := range cands {
-		cover := chains.CoverPar(len(t), func(a, b int) bool {
+		cover := chains.Cover(len(t), func(a, b int) bool {
 			return c.Precedes(t[a], t[b])
 		}, workers)
 		for _, chain := range cover {
@@ -169,7 +169,7 @@ func ChainCoverSizes(c *computation.Computation, p *Predicate, truth Truth) ([]i
 	for i, t := range cands {
 		out[i] = chains.Width(len(t), func(a, b int) bool {
 			return c.Precedes(t[a], t[b])
-		})
+		}, 1)
 	}
 	return out, nil
 }

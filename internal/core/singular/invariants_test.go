@@ -21,14 +21,14 @@ func TestAllStrategiesAgree(t *testing.T) {
 		truth := randomTruth(rng, c, 0.35)
 		var verdicts []bool
 		for _, s := range []Strategy{ProcessSubsets, ChainCover, Auto} {
-			res, err := Detect(c, p, truth, s)
+			res, err := Detect(c, p, truth, s, 1, nil)
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, s, err)
 			}
 			verdicts = append(verdicts, res.Found)
 		}
 		for _, s := range []Strategy{ReceiveOrdered, SendOrdered} {
-			res, err := Detect(c, p, truth, s)
+			res, err := Detect(c, p, truth, s, 1, nil)
 			if err != nil {
 				continue // not applicable to this computation
 			}
@@ -50,7 +50,7 @@ func TestWitnessEventsBelongToTheirClauses(t *testing.T) {
 		c := randomComputation(rng, 4, 5, 10)
 		p := randomPredicate(rng, 2, 2)
 		truth := randomTruth(rng, c, 0.5)
-		res, err := Detect(c, p, truth, ChainCover)
+		res, err := Detect(c, p, truth, ChainCover, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestCombinationsBounded(t *testing.T) {
 		c := randomComputation(rng, 4, 5, 12)
 		p := randomPredicate(rng, 2, 2)
 		truth := randomTruth(rng, c, 0.4)
-		ra, err := Detect(c, p, truth, ProcessSubsets)
+		ra, err := Detect(c, p, truth, ProcessSubsets, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestCombinationsBounded(t *testing.T) {
 		if ra.Combinations > boundA {
 			t.Fatalf("trial %d: A tried %d > k^g bound %d", trial, ra.Combinations, boundA)
 		}
-		rb, err := Detect(c, p, truth, ChainCover)
+		rb, err := Detect(c, p, truth, ChainCover, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,12 +165,12 @@ func TestOrderedDetectorsAreDeterministic(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		c, p := receiveOrderedComputation(rng, 2, 2, 4)
 		truth := randomTruth(rng, c, 0.4)
-		first, err := Detect(c, p, truth, ReceiveOrdered)
+		first, err := Detect(c, p, truth, ReceiveOrdered, 1, nil)
 		if err != nil {
 			continue
 		}
 		for rep := 0; rep < 5; rep++ {
-			again, err := Detect(c, p, truth, ReceiveOrdered)
+			again, err := Detect(c, p, truth, ReceiveOrdered, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -196,7 +196,7 @@ func TestEliminationsNeverExceedCandidates(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		c, p := receiveOrderedComputation(rng, 2, 2, 5)
 		truth := randomTruth(rng, c, 0.5)
-		res, err := Detect(c, p, truth, ReceiveOrdered)
+		res, err := Detect(c, p, truth, ReceiveOrdered, 1, nil)
 		if err != nil {
 			continue
 		}

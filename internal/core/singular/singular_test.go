@@ -117,7 +117,7 @@ func TestEmptyPredicate(t *testing.T) {
 	c := computation.New()
 	c.AddProcess()
 	c.MustSeal()
-	res, err := Detect(c, &Predicate{}, func(computation.Event) bool { return false }, Auto)
+	res, err := Detect(c, &Predicate{}, func(computation.Event) bool { return false }, Auto, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestGeneralAlgorithmsMatchOracle(t *testing.T) {
 		truth := randomTruth(rng, c, 0.4)
 		want := oracle(c, p, truth)
 		for _, strat := range []Strategy{ProcessSubsets, ChainCover} {
-			res, err := Detect(c, p, truth, strat)
+			res, err := Detect(c, p, truth, strat, 1, nil)
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, strat, err)
 			}
@@ -200,7 +200,7 @@ func TestReceiveOrderedMatchesOracle(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		c, p := receiveOrderedComputation(rng, 1+rng.Intn(2), 1+rng.Intn(2), 3)
 		truth := randomTruth(rng, c, 0.4)
-		res, err := Detect(c, p, truth, ReceiveOrdered)
+		res, err := Detect(c, p, truth, ReceiveOrdered, 1, nil)
 		if errors.Is(err, ErrNotOrdered) {
 			continue
 		}
@@ -263,7 +263,7 @@ func TestSendOrderedMatchesOracle(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		c, p := sendOrderedComputation(rng, 1+rng.Intn(2), 1+rng.Intn(2), 3)
 		truth := randomTruth(rng, c, 0.4)
-		res, err := Detect(c, p, truth, SendOrdered)
+		res, err := Detect(c, p, truth, SendOrdered, 1, nil)
 		if errors.Is(err, ErrNotOrdered) {
 			continue
 		}
@@ -290,7 +290,7 @@ func TestAutoFallsBackToChains(t *testing.T) {
 		c := randomComputation(rng, 4, 4, 12)
 		p := randomPredicate(rng, 2, 2)
 		truth := randomTruth(rng, c, 0.4)
-		res, err := Detect(c, p, truth, Auto)
+		res, err := Detect(c, p, truth, Auto, 1, nil)
 		if err != nil {
 			t.Fatalf("trial %d: Auto must not fail: %v", trial, err)
 		}
@@ -328,12 +328,12 @@ func TestNotOrderedDetected(t *testing.T) {
 	c.MustSeal()
 	p := &Predicate{Clauses: []Clause{{{Proc: p0}, {Proc: p1}}}}
 	truth := func(computation.Event) bool { return true }
-	if _, err := Detect(c, p, truth, ReceiveOrdered); !errors.Is(err, ErrNotOrdered) {
+	if _, err := Detect(c, p, truth, ReceiveOrdered, 1, nil); !errors.Is(err, ErrNotOrdered) {
 		t.Errorf("ReceiveOrdered err = %v, want ErrNotOrdered", err)
 	}
 	// Symmetrically the senders p2, p3 in one clause break send-order.
 	ps := &Predicate{Clauses: []Clause{{{Proc: p2}, {Proc: p3}}}}
-	if _, err := Detect(c, ps, truth, SendOrdered); !errors.Is(err, ErrNotOrdered) {
+	if _, err := Detect(c, ps, truth, SendOrdered, 1, nil); !errors.Is(err, ErrNotOrdered) {
 		t.Errorf("SendOrdered err = %v, want ErrNotOrdered", err)
 	}
 }
@@ -344,11 +344,11 @@ func TestChainCoverNeverMoreCombinationsThanSubsets(t *testing.T) {
 		c := randomComputation(rng, 4, 5, 16)
 		p := randomPredicate(rng, 2, 2)
 		truth := randomTruth(rng, c, 0.5)
-		ra, err := Detect(c, p, truth, ProcessSubsets)
+		ra, err := Detect(c, p, truth, ProcessSubsets, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := Detect(c, p, truth, ChainCover)
+		rb, err := Detect(c, p, truth, ChainCover, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -438,7 +438,7 @@ func TestUnknownStrategy(t *testing.T) {
 	c.AddInternal(0)
 	c.MustSeal()
 	p := &Predicate{Clauses: []Clause{{{Proc: 0}}}}
-	if _, err := Detect(c, p, func(computation.Event) bool { return true }, Strategy(99)); err == nil {
+	if _, err := Detect(c, p, func(computation.Event) bool { return true }, Strategy(99), 1, nil); err == nil {
 		t.Error("unknown strategy must error")
 	}
 }

@@ -7,10 +7,11 @@
 // variables lies in M. Since Possibly distributes over disjunction and a
 // boolean variable changes by at most one per event, Possibly(phi) for a
 // symmetric phi reduces to |M| instances of the polynomial-time
-// Possibly(sum = m) detector of core/relsum — this is the corollary the
-// paper highlights: exclusive-or of local predicates, absence of a simple
-// or two-thirds majority, exactly-k tokens and "not all equal" all become
-// efficiently detectable.
+// Possibly(sum = m) detector of core/relsum, all probed against the one
+// range of the true-count quantity (relsum.Count) — this is the
+// corollary the paper highlights: exclusive-or of local predicates,
+// absence of a simple or two-thirds majority, exactly-k tokens and "not
+// all equal" all become efficiently detectable.
 package symmetric
 
 import (
@@ -84,43 +85,29 @@ func NotAllEqual(n int) Spec {
 	return FromFunc(n, func(m int) bool { return m != 0 && m != n })
 }
 
-// countVar is the derived 0/1 variable injected into a scratch copy of the
-// computation; boolean variables flip by at most one per event, so the
-// unit-step machinery of relsum always applies.
-const countVar = "__symmetric_count"
-
-// withCount returns a sealed copy of c carrying the 0/1 count variable.
-func withCount(c *computation.Computation, truth Truth) *computation.Computation {
-	cc := c.Clone()
-	cc.Events(func(e computation.Event) bool {
-		if truth(e) {
-			cc.SetVar(countVar, e.ID, 1)
+// Attainable reports whether some level of the spec lies in [min, max]:
+// whether the predicate holds at some consistent cut when the true-count
+// ranges over exactly [min, max] (a count moves by at most one per
+// event, so every value in between is attained).
+func (s Spec) Attainable(min, max int64) bool {
+	for _, m := range s.Levels {
+		if int64(m) >= min && int64(m) <= max {
+			return true
 		}
-		return true
-	})
-	cc.MustSeal()
-	return cc
+	}
+	return false
 }
 
 // Possibly reports whether some consistent cut satisfies the symmetric
-// predicate, returning a witness cut when one exists. Runs in polynomial
-// time: one SumRange plus at most one witness walk.
-func Possibly(c *computation.Computation, spec Spec, truth Truth) (bool, computation.Cut, error) {
-	return PossiblyTraced(c, spec, truth, nil)
-}
-
-// PossiblyTraced is Possibly with work counters (levels probed, closure
-// work) accumulated into the trace.
-func PossiblyTraced(c *computation.Computation, spec Spec, truth Truth, tr *obs.Trace) (bool, computation.Cut, error) {
-	return PossiblyPar(c, spec, truth, 1, tr)
-}
-
-// PossiblyPar is PossiblyTraced with the closure computations run on a
-// bounded worker pool (the at most one witness probe stays sequential).
-// Identical verdict, witness and counters for every worker count.
-func PossiblyPar(c *computation.Computation, spec Spec, truth Truth, workers int, tr *obs.Trace) (bool, computation.Cut, error) {
-	cc := withCount(c, truth)
-	min, max := relsum.SumRangePar(cc, countVar, workers, tr)
+// predicate, returning a witness cut when one exists and the range of
+// the true-count (relsum.Count) over the consistent cuts. Runs in
+// polynomial time: one relsum.Range, whose two closures run on a pool of
+// workers, plus at most one witness walk from the range's extremal cuts.
+// Identical verdict, witness and counters for every worker count; work
+// counters (levels probed, closure work) accumulate into tr.
+func Possibly(c *computation.Computation, spec Spec, truth Truth, workers int, tr *obs.Trace) (bool, computation.Cut, relsum.Bounds, error) {
+	q := relsum.Count(c, truth)
+	b := relsum.Range(q, workers, tr)
 	var probed int64
 	defer func() { tr.Add("symmetric.levels_probed", probed) }()
 	for _, m := range spec.Levels {
@@ -128,47 +115,31 @@ func PossiblyPar(c *computation.Computation, spec Spec, truth Truth, workers int
 			continue
 		}
 		probed++
-		if int64(m) < min || int64(m) > max {
+		if int64(m) < b.Min || int64(m) > b.Max {
 			continue
 		}
-		ok, cut, err := relsum.PossiblyEqWitnessPar(cc, countVar, int64(m), workers, tr)
-		if err != nil {
-			return false, nil, err
-		}
+		cut, ok := q.Attain(b, int64(m))
 		if !ok {
-			return false, nil, fmt.Errorf("symmetric: internal error: level %d in range [%d,%d] but no witness", m, min, max)
+			return false, nil, b, fmt.Errorf("symmetric: internal error: level %d in range [%d,%d] but no witness", m, b.Min, b.Max)
 		}
-		return true, cut, nil
+		return true, cut, b, nil
 	}
-	return false, nil, nil
+	return false, nil, b, nil
 }
 
 // Definitely reports whether every run passes through a cut satisfying the
 // symmetric predicate. Definitely does not distribute over disjunction, so
 // this falls back to region reachability in the cut lattice (worst-case
-// exponential); the paper's polynomial corollary covers Possibly only.
-func Definitely(c *computation.Computation, spec Spec, truth Truth) (bool, error) {
-	return DefinitelyTraced(c, spec, truth, nil)
-}
-
-// DefinitelyTraced is Definitely with region-reachability work counters
-// accumulated into the trace.
-func DefinitelyTraced(c *computation.Computation, spec Spec, truth Truth, tr *obs.Trace) (bool, error) {
-	return DefinitelyPar(c, spec, truth, 1, tr)
-}
-
-// DefinitelyPar is DefinitelyTraced with the region-reachability sweep
-// run on a bounded worker pool.
-func DefinitelyPar(c *computation.Computation, spec Spec, truth Truth, workers int, tr *obs.Trace) (bool, error) {
-	levels := make(map[int]bool, len(spec.Levels))
+// exponential; the paper's polynomial corollary covers Possibly only),
+// swept on a pool of workers with work counters accumulated into tr.
+func Definitely(c *computation.Computation, spec Spec, truth Truth, workers int, tr *obs.Trace) (bool, error) {
+	levels := make(map[int64]bool, len(spec.Levels))
 	for _, m := range spec.Levels {
-		levels[m] = true
+		levels[int64(m)] = true
 	}
-	holds := func(cc *computation.Computation, k computation.Cut) bool {
-		return levels[cc.CountTrue(k, func(e computation.Event) bool { return truth(e) })]
-	}
-	not := func(cc *computation.Computation, k computation.Cut) bool { return !holds(cc, k) }
-	avoidable := lattice.PathExistsPar(c, c.InitialCut(), c.FinalCut(), not, workers, tr)
+	q := relsum.Count(c, truth)
+	outside := func(_ *computation.Computation, k computation.Cut) bool { return !levels[q.At(k)] }
+	avoidable := lattice.PathExistsPar(c, c.InitialCut(), c.FinalCut(), outside, workers, tr)
 	return !avoidable, nil
 }
 

@@ -103,7 +103,7 @@ func TestPossiblyMatchesLattice(t *testing.T) {
 			FromFunc(np, func(m int) bool { return rng.Intn(2) == 0 }),
 		}
 		for _, spec := range specs {
-			got, cut, err := Possibly(c, spec, truth)
+			got, cut, _, err := Possibly(c, spec, truth, 1, nil)
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, spec, err)
 			}
@@ -130,7 +130,7 @@ func TestDefinitelyMatchesLattice(t *testing.T) {
 		c := randomComputation(rng, np, 4, 6)
 		truth := randomTruth(rng, c, 0.4)
 		for _, spec := range []Spec{Xor(np), ExactlyK(np, 1), NotAllEqual(np)} {
-			got, err := Definitely(c, spec, truth)
+			got, err := Definitely(c, spec, truth, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,11 +149,11 @@ func TestEmptyLevels(t *testing.T) {
 	c.AddProcesses(2)
 	c.MustSeal()
 	truth := func(computation.Event) bool { return true }
-	ok, _, err := Possibly(c, Spec{N: 2}, truth)
+	ok, _, _, err := Possibly(c, Spec{N: 2}, truth, 1, nil)
 	if err != nil || ok {
 		t.Errorf("empty levels: Possibly = %v, %v; want false", ok, err)
 	}
-	def, err := Definitely(c, Spec{N: 2}, truth)
+	def, err := Definitely(c, Spec{N: 2}, truth, 1, nil)
 	if err != nil || def {
 		t.Errorf("empty levels: Definitely = %v, %v; want false", def, err)
 	}
@@ -164,7 +164,7 @@ func TestOutOfRangeLevelsIgnored(t *testing.T) {
 	c.AddProcesses(2)
 	c.MustSeal()
 	truth := func(computation.Event) bool { return false }
-	ok, _, err := Possibly(c, Spec{N: 2, Levels: []int{-1, 7}}, truth)
+	ok, _, _, err := Possibly(c, Spec{N: 2, Levels: []int{-1, 7}}, truth, 1, nil)
 	if err != nil || ok {
 		t.Errorf("out-of-range levels: Possibly = %v, %v; want false", ok, err)
 	}
@@ -183,7 +183,7 @@ func TestXorTwoProcessExample(t *testing.T) {
 	}
 	c.MustSeal()
 	truth := func(e computation.Event) bool { return e.ID == a || e.ID == b }
-	ok, cut, err := Possibly(c, Xor(2), truth)
+	ok, cut, _, err := Possibly(c, Xor(2), truth, 1, nil)
 	if err != nil || !ok {
 		t.Fatalf("Possibly(Xor) = %v, %v; want true", ok, err)
 	}
@@ -192,7 +192,7 @@ func TestXorTwoProcessExample(t *testing.T) {
 	}
 	// Every run flips p0 first then p1, passing through count=1: XOR is
 	// definite.
-	def, err := Definitely(c, Xor(2), truth)
+	def, err := Definitely(c, Xor(2), truth, 1, nil)
 	if err != nil || !def {
 		t.Errorf("Definitely(Xor) = %v, %v; want true", def, err)
 	}

@@ -38,7 +38,7 @@ func singularPredicate(s pred.Spec) *singular.Predicate {
 }
 
 func cnfPossibly(c *computation.Computation, s pred.Spec, opt Options, tr *obs.Trace) (Result, error) {
-	res, err := singular.DetectPar(c, singularPredicate(s), singular.Truth(varTruth(c, s.Var)), opt.Singular, opt.Parallelism, tr)
+	res, err := singular.Detect(c, singularPredicate(s), singular.Truth(varTruth(c, s.Var)), opt.Singular, opt.Parallelism, tr)
 	if err != nil {
 		return Result{}, err
 	}

@@ -46,12 +46,12 @@ func allLocals(c *computation.Computation, name string) map[computation.ProcID]c
 // already work-optimal, so a worker pool would only add coordination
 // overhead without changing the asymptotics.
 func conjPossibly(c *computation.Computation, s pred.Spec, _ Options, tr *obs.Trace) (Result, error) {
-	res := conjunctive.DetectTraced(c, allLocals(c, s.Var), tr)
+	res := conjunctive.Detect(c, allLocals(c, s.Var), tr)
 	return Result{Holds: res.Found, Witness: res.Cut}, nil
 }
 
 func conjDefinitely(c *computation.Computation, s pred.Spec, _ Options, tr *obs.Trace) (Result, error) {
-	return Result{Holds: conjunctive.DetectDefinitelyTraced(c, allLocals(c, s.Var), tr)}, nil
+	return Result{Holds: conjunctive.DetectDefinitely(c, allLocals(c, s.Var), tr)}, nil
 }
 
 // conjDetector wraps the token-based online checker (conjunctive.Checker)
@@ -138,7 +138,7 @@ func (d *conjDetector) FinalizeDefinitely(c *computation.Computation, tr *obs.Tr
 	for _, p := range d.involved {
 		locals[computation.ProcID(p)] = truth
 	}
-	return conjunctive.DetectDefinitelyTraced(c, locals, tr), nil
+	return conjunctive.DetectDefinitely(c, locals, tr), nil
 }
 
 // linearizeConj replays the 0/1 variable as Truth flags. The online

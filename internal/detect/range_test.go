@@ -64,36 +64,34 @@ func scramble(rng *rand.Rand, events []Event, procs int) []Event {
 	return out
 }
 
-// rangeCase is one detector family under test: its spec, how to label
-// the computation, and the batch range the stream must end on.
+// rangeCase is one detector family under test: its spec and how to
+// label the computation.
 type rangeCase struct {
 	spec  pred.Spec
 	label func(seed int64, c *computation.Computation)
-	want  func(c *computation.Computation) (min, max int64)
 }
 
 func rangeCases() []rangeCase {
-	sumRange := func(c *computation.Computation) (int64, int64) { return relsum.SumRange(c, "x") }
 	unit := func(seed int64, c *computation.Computation) { gen.UnitStepVar(seed, c, "x") }
 	boolVar := func(seed int64, c *computation.Computation) { gen.BoolVar(seed, c, "x", 0.5) }
 	return []rangeCase{
-		{pred.Spec{Family: pred.Sum, Var: "x", Rel: relsum.Eq, K: 1}, unit, sumRange},
+		{pred.Spec{Family: pred.Sum, Var: "x", Rel: relsum.Eq, K: 1}, unit},
 		{pred.Spec{Family: pred.Sum, Var: "x", Rel: relsum.Ge, K: 3},
-			func(seed int64, c *computation.Computation) { gen.ArbitraryStepVar(seed, c, "x", 3) }, sumRange},
-		{pred.Spec{Family: pred.Sum, Var: "x", Rel: relsum.Lt, K: -2}, unit, sumRange},
-		{pred.Spec{Family: pred.InFlight, Rel: relsum.Ge, K: 2}, nil,
-			func(c *computation.Computation) (int64, int64) { return relsum.InFlightRange(c) }},
-		{pred.Spec{Family: pred.Count, Var: "x", Rel: relsum.Ge, K: 2}, boolVar, sumRange},
-		{pred.Spec{Family: pred.Levels, Var: "x", Levels: []int{0, 3}}, boolVar, sumRange},
+			func(seed int64, c *computation.Computation) { gen.ArbitraryStepVar(seed, c, "x", 3) }},
+		{pred.Spec{Family: pred.Sum, Var: "x", Rel: relsum.Lt, K: -2}, unit},
+		{pred.Spec{Family: pred.InFlight, Rel: relsum.Ge, K: 2}, nil},
+		{pred.Spec{Family: pred.Count, Var: "x", Rel: relsum.Ge, K: 2}, boolVar},
+		{pred.Spec{Family: pred.Xor, Var: "x"}, boolVar},
+		{pred.Spec{Family: pred.Levels, Var: "x", Levels: []int{0, 3}}, boolVar},
 	}
 }
 
 // TestRangeDetectorsMatchDenseRequirements streams random computations
 // in random causality-respecting orders through the sum, inflight,
-// count and levels detectors, flushing at random intervals. At every
-// flush the detector's range must equal that of a reference tracker
-// fed the dense requirements and pruned on the same schedule, and at
-// close it must equal the batch range.
+// count, xor and levels detectors, flushing at random intervals. At
+// every flush the detector's range must equal that of a reference
+// tracker fed the dense requirements and pruned on the same schedule,
+// and at close it must equal the range batch Possibly reports.
 func TestRangeDetectorsMatchDenseRequirements(t *testing.T) {
 	for _, tc := range rangeCases() {
 		entry, ok := Lookup(tc.spec.Family, ModalityPossibly)
@@ -181,8 +179,63 @@ func TestRangeDetectorsMatchDenseRequirements(t *testing.T) {
 			}
 			flush(len(events))
 			snap := det.Snapshot()
-			if min, max := tc.want(c); snap.Min != min || snap.Max != max {
-				t.Fatalf("%s: closing range [%d, %d], batch [%d, %d]", name, snap.Min, snap.Max, min, max)
+			batch, err := Batch(c, tc.spec, ModalityPossibly, Options{Parallelism: 1}, nil)
+			if err != nil {
+				t.Fatalf("%s: batch: %v", name, err)
+			}
+			if snap.Min != batch.Min || snap.Max != batch.Max {
+				t.Fatalf("%s: closing range [%d, %d], batch [%d, %d]", name, snap.Min, snap.Max, batch.Min, batch.Max)
+			}
+		}
+	}
+}
+
+// TestCountDetectorsAgreeWithBatch streams random computations in
+// random causal orders through the count, xor and levels detectors,
+// flushing every few events, and requires the verdict latched at close
+// to equal the batch Possibly route's across several symmetric specs
+// (exclusive-or, exactly half, no simple majority, not all equal).
+func TestCountDetectorsAgreeWithBatch(t *testing.T) {
+	for seed := int64(0); seed < 25; seed++ {
+		rng := rand.New(rand.NewSource(seed * 131))
+		c := gen.Random(gen.Params{Seed: seed, Procs: 3 + int(seed%3), Events: 7, MsgFrac: 0.4})
+		gen.BoolVar(seed+5, c, "b", 0.4)
+		n := c.NumProcs()
+		var notAllEqual []int
+		for m := 1; m < n; m++ {
+			notAllEqual = append(notAllEqual, m)
+		}
+		specs := []pred.Spec{
+			{Family: pred.Xor, Var: "b"},
+			{Family: pred.Count, Var: "b", Rel: relsum.Eq, K: int64(n / 2)},
+			{Family: pred.Count, Var: "b", Rel: relsum.Le, K: int64(n / 2)},
+			{Family: pred.Levels, Var: "b", Levels: notAllEqual},
+		}
+		for _, spec := range specs {
+			entry, _ := Lookup(spec.Family, ModalityPossibly)
+			events, cfg, err := entry.Linearize(c, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			det, err := entry.New(spec, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, ev := range scramble(rng, events, n) {
+				if err := det.Step(ev); err != nil {
+					t.Fatal(err)
+				}
+				if i%4 == 3 {
+					det.Flush()
+				}
+			}
+			got := det.Flush()
+			want, err := Batch(c, spec, ModalityPossibly, Options{Parallelism: 1}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want.Holds {
+				t.Fatalf("seed %d %v: streamed %v, batch Possibly %v", seed, spec, got, want.Holds)
 			}
 		}
 	}

@@ -2,79 +2,144 @@ package detect
 
 import (
 	"fmt"
+	"sort"
 
 	"github.com/distributed-predicates/gpd/internal/computation"
 	"github.com/distributed-predicates/gpd/internal/core/relsum"
+	"github.com/distributed-predicates/gpd/internal/core/symmetric"
 	"github.com/distributed-predicates/gpd/internal/obs"
 	"github.com/distributed-predicates/gpd/internal/pred"
 )
 
+// The range families — sum, inflight, count, xor and levels — are one
+// construction: an ideal-sum quantity (relsum.Quantity) ranged over the
+// consistent cuts. sum ranges over a variable, inflight over channel
+// occupancy (sends − receives), and count, xor and levels over the
+// true-count of a boolean variable, probed at the levels of a symmetric
+// spec (§4.3). They share one batch route per modality and one streamed
+// detector, which differ per family only in the payload they decode and
+// the verdict they latch.
 func init() {
-	caps := Caps{Incremental: true, Payload: PayloadValue}
-	Register(Entry{
-		Family: pred.Sum, Modality: ModalityPossibly, Caps: caps,
-		Batch: sumPossibly, New: newSumDetector, Linearize: linearizeSum,
-	})
-	caps.NeedsFullTrace = true
-	Register(Entry{
-		Family: pred.Sum, Modality: ModalityDefinitely, Caps: caps,
-		Batch: sumDefinitely, New: newSumDetector, Linearize: linearizeSum,
-	})
-}
-
-func sumPossibly(c *computation.Computation, s pred.Spec, opt Options, tr *obs.Trace) (Result, error) {
-	ok, cut, err := relsum.PossiblyWitnessPar(c, s.Var, s.Rel, s.K, opt.Parallelism, tr)
-	return Result{Holds: ok, Witness: cut}, err
-}
-
-func sumDefinitely(c *computation.Computation, s pred.Spec, opt Options, tr *obs.Trace) (Result, error) {
-	ok, err := relsum.DefinitelyPar(c, s.Var, s.Rel, s.K, opt.Parallelism, tr)
-	return Result{Holds: ok}, err
-}
-
-// relPossible decides Possibly(S relop k) from the exact extrema of S
-// over the consistent cuts covered so far. For the order operators and
-// != the extrema suffice with no step assumption; for = the caller must
-// enforce unit steps, under which every integer in [min, max] is
-// attained (the intermediate-value property of Theorem 4 lifted to the
-// streaming setting).
-func relPossible(r relsum.Relop, k, min, max int64) bool {
-	switch r {
-	case relsum.Lt:
-		return min < k
-	case relsum.Le:
-		return min <= k
-	case relsum.Ge:
-		return max >= k
-	case relsum.Gt:
-		return max > k
-	case relsum.Ne:
-		return min != k || max != k
-	default: // Eq
-		return min <= k && k <= max
+	for _, f := range []pred.Family{pred.Sum, pred.InFlight, pred.Count, pred.Xor, pred.Levels} {
+		pos := Entry{
+			Family: f, Modality: ModalityPossibly,
+			Caps:  Caps{Incremental: true, Payload: rangePayload(f)},
+			Batch: rangePossibly, New: newSumDetector, Linearize: linearizeRange,
+		}
+		def := pos
+		def.Modality, def.Batch = ModalityDefinitely, rangeDefinitely
+		def.Caps.NeedsFullTrace = true
+		if f == pred.InFlight {
+			// Quiescence (inflight == 0) is the one regular range
+			// predicate; the slice route admits only that spec.
+			pos.Caps.Sliceable, pos.Slice = true, inflightSlicePossibly
+			def.Caps.Sliceable, def.Slice = true, inflightSliceDefinitely
+		}
+		Register(pos)
+		Register(def)
 	}
 }
 
-// sumDetector is the range-based incremental detector shared by the sum
-// and inflight families: a relsum.RangeTracker over per-event changes,
-// pruned below the common vector-clock frontier, with the verdict
-// latched from the running extrema via relPossible.
+// rangePayload is the event payload a range family's stream carries:
+// the variable's value after the event (sum), the per-event change of
+// channel occupancy (inflight), or the 0/1 variable (the count-based
+// families).
+func rangePayload(f pred.Family) Payload {
+	switch f {
+	case pred.Sum:
+		return PayloadValue
+	case pred.InFlight:
+		return PayloadDelta
+	default:
+		return PayloadTruth
+	}
+}
+
+// symmetricSpec builds the level-set form of the Count, Xor and Levels
+// families for a computation with n processes.
+func symmetricSpec(n int, s pred.Spec) symmetric.Spec {
+	switch s.Family {
+	case pred.Xor:
+		return symmetric.Xor(n)
+	case pred.Count:
+		return symmetric.FromFunc(n, func(m int) bool { return s.Rel.Eval(int64(m), s.K) })
+	default: // pred.Levels
+		levels := append([]int(nil), s.Levels...)
+		sort.Ints(levels)
+		out := levels[:0]
+		for i, m := range levels {
+			if i == 0 || m != levels[i-1] {
+				out = append(out, m)
+			}
+		}
+		return symmetric.Spec{N: n, Levels: out}
+	}
+}
+
+// rangePossibly decides Possibly from the exact range of the family's
+// quantity, reporting the range with the verdict.
+func rangePossibly(c *computation.Computation, s pred.Spec, opt Options, tr *obs.Trace) (Result, error) {
+	var (
+		ok  bool
+		cut computation.Cut
+		b   relsum.Bounds
+		err error
+	)
+	switch s.Family {
+	case pred.Sum:
+		ok, cut, b, err = relsum.Possibly(relsum.Var(c, s.Var), s.Rel, s.K, opt.Parallelism, tr)
+	case pred.InFlight:
+		ok, cut, b, err = relsum.Possibly(relsum.InFlight(c), s.Rel, s.K, opt.Parallelism, tr)
+		if s.Rel != relsum.Eq {
+			cut = nil // channel occupancy reports a witness under == only
+		}
+	default:
+		ok, cut, b, err = symmetric.Possibly(c, symmetricSpec(c.NumProcs(), s), symmetric.Truth(varTruth(c, s.Var)), opt.Parallelism, tr)
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{Holds: ok, Witness: cut, Min: b.Min, Max: b.Max, HasRange: true}, nil
+}
+
+// rangeDefinitely decides Definitely by region reachability in the cut
+// lattice. Channel occupancy also reports its range.
+func rangeDefinitely(c *computation.Computation, s pred.Spec, opt Options, tr *obs.Trace) (Result, error) {
+	switch s.Family {
+	case pred.Sum:
+		ok, err := relsum.Definitely(relsum.Var(c, s.Var), s.Rel, s.K, opt.Parallelism, tr)
+		return Result{Holds: ok}, err
+	case pred.InFlight:
+		q := relsum.InFlight(c)
+		b := relsum.Range(q, opt.Parallelism, tr)
+		ok, err := relsum.Definitely(q, s.Rel, s.K, opt.Parallelism, tr)
+		return Result{Holds: ok, Min: b.Min, Max: b.Max, HasRange: true}, err
+	default:
+		ok, err := symmetric.Definitely(c, symmetricSpec(c.NumProcs(), s), symmetric.Truth(varTruth(c, s.Var)), opt.Parallelism, tr)
+		return Result{Holds: ok}, err
+	}
+}
+
+// sumDetector is the one streamed detector of the range families: a
+// relsum.RangeTracker over the per-event change of the family's
+// quantity, pruned below the common vector-clock frontier, with the
+// verdict latched from the running extrema by the decision chosen at
+// construction (relop over the range for sum and inflight, a level in
+// the range for the count-based families).
 type sumDetector struct {
 	fr      *frontier
 	tracker *relsum.RangeTracker
-	rel     relsum.Relop
-	k       int64
-	unit    bool // enforce |change| <= 1 per event (Eq needs it)
+	spec    pred.Spec
+	payload Payload
+	decide  func(min, max int64) bool
+	unit    bool // enforce |change| <= 1 per event (== needs it)
 
-	// Payload decoding: delta sessions (inflight) carry the per-event
-	// change directly; value sessions carry the variable's value after
-	// the event and diff against lastVal.
-	delta   bool
+	// lastVal is each process's value after its last delivered event
+	// (PayloadValue: the variable; PayloadTruth: 0/1), which value and
+	// truth payloads diff against; delta payloads carry the change.
 	lastVal []int64
-
-	// Finalize support: the variable name for value sessions, recorded
-	// per-event changes for delta sessions (only when Config.Retain).
-	varName string
+	// weights records per-event changes of delta sessions for the
+	// finalizer (only when Config.Retain).
 	weights map[int64]int64
 
 	possibly bool
@@ -83,37 +148,78 @@ type sumDetector struct {
 func newSumDetector(s pred.Spec, cfg Config) (Detector, error) {
 	d := &sumDetector{
 		fr:      newFrontier(cfg.Procs),
-		rel:     s.Rel,
-		k:       s.K,
-		unit:    s.Rel == relsum.Eq,
+		spec:    s,
+		payload: rangePayload(s.Family),
 		lastVal: make([]int64, cfg.Procs),
-		varName: s.Var,
 	}
-	copy(d.lastVal, cfg.Init)
-	var baseline int64
-	for _, v := range cfg.Init {
-		baseline += v
+	switch d.payload {
+	case PayloadDelta:
+		// Occupancy starts at zero; the deltas are unit-step whenever
+		// every event sends or receives at most one message.
+		if len(cfg.Init) > 0 {
+			return nil, fmt.Errorf("detect: inflight detectors take no initial values (occupancy starts at 0)")
+		}
+		if cfg.Retain {
+			d.weights = make(map[int64]int64)
+		}
+	case PayloadTruth:
+		for p, v := range cfg.Init {
+			if v != 0 {
+				d.lastVal[p] = 1
+			}
+		}
+	default:
+		copy(d.lastVal, cfg.Init)
 	}
-	d.tracker = relsum.NewRangeTracker(baseline)
+	if d.payload == PayloadTruth {
+		// A boolean flips by at most one per event, so the count is
+		// always unit-step.
+		d.decide = symmetricSpec(cfg.Procs, s).Attainable
+	} else {
+		d.unit = s.Rel == relsum.Eq
+		d.decide = func(min, max int64) bool { return s.Rel.Attainable(min, max, s.K) }
+	}
+	var base int64
+	for _, v := range d.lastVal {
+		base += v
+	}
+	d.tracker = relsum.NewRangeTracker(base)
 	// The initial cut is a consistent cut: latch it right away.
-	d.possibly = relPossible(d.rel, d.k, baseline, baseline)
+	d.possibly = d.decide(base, base)
 	return d, nil
 }
 
 func (d *sumDetector) SetTrace(tr *obs.Trace) { d.tracker.SetTrace(tr) }
 
+// variable names the stream the detector consumes: the spec's variable,
+// or InFlightVar for channel occupancy.
+func (d *sumDetector) variable() string {
+	if d.payload == PayloadDelta {
+		return InFlightVar
+	}
+	return d.spec.Var
+}
+
 func (d *sumDetector) Step(ev Event) error {
 	p := ev.Proc
 	var change int64
-	if d.delta {
+	switch d.payload {
+	case PayloadDelta:
 		change = ev.Val
-	} else {
+	case PayloadTruth:
+		var v int64
+		if ev.Truth {
+			v = 1
+		}
+		change = v - d.lastVal[p]
+		d.lastVal[p] = v
+	default:
 		change = ev.Val - d.lastVal[p]
 		d.lastVal[p] = ev.Val
 	}
 	if d.unit && (change > 1 || change < -1) {
-		return fmt.Errorf("%w: process %d event %d changes by %d",
-			relsum.ErrNotUnitStep, p, ev.VC[p], change)
+		return fmt.Errorf("%w: process %d event %d changes %q by %d",
+			relsum.ErrNotUnitStep, p, ev.VC[p], d.variable(), change)
 	}
 	id := d.fr.id(p, ev.VC[p])
 	d.tracker.Observe(id, change, d.fr.requires(ev))
@@ -129,7 +235,7 @@ func (d *sumDetector) Flush() bool {
 	if ids := d.fr.stable(); len(ids) > 0 {
 		d.tracker.Prune(ids)
 	}
-	if min, max := d.tracker.Range(); !d.possibly && relPossible(d.rel, d.k, min, max) {
+	if min, max := d.tracker.Range(); !d.possibly && d.decide(min, max) {
 		d.possibly = true
 	}
 	return d.possibly
@@ -137,14 +243,11 @@ func (d *sumDetector) Flush() bool {
 
 func (d *sumDetector) Possibly() bool { return d.possibly }
 
-// Touches bounds the detector's relevance set: the sum ranges over the
-// named variable's events on every process (channel-occupancy sessions
-// consume the reserved InFlightVar delta stream instead).
+// Touches bounds the detector's relevance set: the quantity ranges over
+// the named variable's events on every process (channel-occupancy
+// sessions consume the reserved InFlightVar delta stream instead).
 func (d *sumDetector) Touches() Relevance {
-	if d.delta {
-		return Relevance{Vars: []string{InFlightVar}}
-	}
-	return Relevance{Vars: []string{d.varName}}
+	return Relevance{Vars: []string{d.variable()}}
 }
 
 func (d *sumDetector) Window() int { return d.tracker.Window() }
@@ -155,13 +258,15 @@ func (d *sumDetector) Snapshot() Snapshot {
 }
 
 // FinalizeDefinitely decides Definitely over the complete computation:
-// from the named variable for value sessions, from the recorded
-// per-event changes for delta sessions (the rebuilt trace has no
-// messages to derive channel occupancy from, so the detector keeps the
-// weights itself when the transport retains the trace).
+// through the batch route for value and truth sessions (a transport's
+// rebuilt trace carries the variable, initial states included), from
+// the recorded per-event changes for delta sessions (the rebuilt trace
+// has no messages to derive channel occupancy from, so the detector
+// keeps the weights itself when the transport retains the trace).
 func (d *sumDetector) FinalizeDefinitely(c *computation.Computation, tr *obs.Trace) (bool, error) {
-	if !d.delta {
-		return relsum.DefinitelyTraced(c, d.varName, d.rel, d.k, tr)
+	if d.payload != PayloadDelta {
+		res, err := rangeDefinitely(c, d.spec, Options{Parallelism: 1}, tr)
+		return res.Holds, err
 	}
 	if d.weights == nil {
 		return false, fmt.Errorf("detect: detector did not retain per-event weights (session not opened with retain)")
@@ -169,18 +274,34 @@ func (d *sumDetector) FinalizeDefinitely(c *computation.Computation, tr *obs.Tra
 	w := func(e computation.Event) int64 {
 		return d.weights[d.fr.id(int(e.Proc), int64(e.Index))]
 	}
-	return relsum.DefinitelyWeightedTraced(c, 0, w, d.rel, d.k, tr)
+	return relsum.Definitely(relsum.Weighted(c, 0, w), d.spec.Rel, d.spec.K, 1, tr)
 }
 
-// linearizeSum replays the named variable: events carry its value after
-// the event, the config its per-process initial values.
-func linearizeSum(c *computation.Computation, s pred.Spec) ([]Event, Config, error) {
-	init := make([]int64, c.NumProcs())
-	for p := range init {
-		init[p] = c.Var(s.Var, c.Initial(computation.ProcID(p)).ID)
+// linearizeRange replays the family's payload: the named variable's
+// value after each event (sum), the named 0/1 variable as Truth flags
+// (count, xor, levels), each with the initial values in the config, or
+// each event's sends − receives (inflight, which has no initial values).
+func linearizeRange(c *computation.Computation, s pred.Spec) ([]Event, Config, error) {
+	cfg := Config{Procs: c.NumProcs()}
+	var fill func(e computation.Event, ev *Event)
+	switch rangePayload(s.Family) {
+	case PayloadDelta:
+		q := relsum.InFlight(c)
+		return LinearizeEvents(c, func(e computation.Event, ev *Event) { ev.Val = q.Weight(e) }), cfg, nil
+	case PayloadTruth:
+		truth := varTruth(c, s.Var)
+		fill = func(e computation.Event, ev *Event) { ev.Truth = truth(e) }
+	default:
+		fill = func(e computation.Event, ev *Event) { ev.Val = c.Var(s.Var, e.ID) }
 	}
-	events := LinearizeEvents(c, func(e computation.Event, ev *Event) {
-		ev.Val = c.Var(s.Var, e.ID)
-	})
-	return events, Config{Procs: c.NumProcs(), Init: init}, nil
+	cfg.Init = make([]int64, c.NumProcs())
+	for p := range cfg.Init {
+		var ev Event // the initial state, read through the same payload
+		fill(c.Initial(computation.ProcID(p)), &ev)
+		cfg.Init[p] = ev.Val
+		if ev.Truth {
+			cfg.Init[p] = 1
+		}
+	}
+	return LinearizeEvents(c, fill), cfg, nil
 }

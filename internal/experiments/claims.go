@@ -78,7 +78,7 @@ func E1Soundness() *Table {
 			satTotal += timed(func() { want = sat.Satisfiable(f) })
 			var res singular.Result
 			detTotal += timed(func() {
-				res, _ = singular.Detect(in.C, in.Pred, in.Truth(), singular.ChainCover)
+				res, _ = singular.Detect(in.C, in.Pred, in.Truth(), singular.ChainCover, 1, nil)
 			})
 			if res.Found == want {
 				agree++
@@ -118,11 +118,11 @@ func E2Scaling() *Table {
 		truthR := singular.TruthFromTables(gen.BoolTables(int64(7+cfg.g), cr, 0.15))
 		var resR singular.Result
 		var errR error
-		dR := timed(func() { resR, errR = singular.Detect(cr, pr, truthR, singular.ReceiveOrdered) })
+		dR := timed(func() { resR, errR = singular.Detect(cr, pr, truthR, singular.ReceiveOrdered, 1, nil) })
 		cs := gen.GroupFunnel(gen.Params{Seed: int64(200 + cfg.g + cfg.events), Procs: procs, Events: cfg.events, MsgFrac: 0.5}, k, false)
 		truthS := singular.TruthFromTables(gen.BoolTables(int64(9+cfg.g), cs, 0.15))
 		var errS error
-		dS := timed(func() { _, errS = singular.Detect(cs, pr, truthS, singular.SendOrdered) })
+		dS := timed(func() { _, errS = singular.Detect(cs, pr, truthS, singular.SendOrdered, 1, nil) })
 		status := fmt.Sprint(resR.Found)
 		if errR != nil || errS != nil {
 			status = fmt.Sprintf("ERROR: %v %v", errR, errS)
@@ -259,8 +259,8 @@ func E3AvsB() *Table {
 		truth := singular.TruthFromTables(tabs)
 		var ra, rb singular.Result
 		var ea, eb error
-		da := timed(func() { ra, ea = singular.Detect(c, p, truth, singular.ProcessSubsets) })
-		db := timed(func() { rb, eb = singular.Detect(c, p, truth, singular.ChainCover) })
+		da := timed(func() { ra, ea = singular.Detect(c, p, truth, singular.ProcessSubsets, 1, nil) })
+		db := timed(func() { rb, eb = singular.Detect(c, p, truth, singular.ChainCover, 1, nil) })
 		agree := ea == nil && eb == nil && ra.Found == rb.Found
 		speedup := float64(da) / float64(db)
 		t.AddRow(cfg.g, cfg.k, ra.Combinations, rb.Combinations, da, db,
@@ -293,7 +293,7 @@ func E4SumEq() *Table {
 		gen.UnitStepVar(int64(500+cfg.procs), c, "x")
 		k := int64(1)
 		var fast bool
-		dFast := timed(func() { fast, _ = relsum.Possibly(c, "x", relsum.Eq, k) })
+		dFast := timed(func() { fast, _, _, _ = relsum.Possibly(relsum.Var(c, "x"), relsum.Eq, k, 1, nil) })
 		if cfg.baseline {
 			var cuts int64
 			var slow bool
@@ -377,9 +377,9 @@ func E6Symmetric() *Table {
 		truth := func(e computation.Event) bool { return c.Var("yes", e.ID) != 0 }
 		var xor, nomaj, half bool
 		d := timed(func() {
-			xor, _, _ = symmetric.Possibly(c, symmetric.Xor(n), truth)
-			nomaj, _, _ = symmetric.Possibly(c, symmetric.NoSimpleMajority(n), truth)
-			half, _, _ = symmetric.Possibly(c, symmetric.ExactlyK(n, n/2), truth)
+			xor, _, _, _ = symmetric.Possibly(c, symmetric.Xor(n), truth, 1, nil)
+			nomaj, _, _, _ = symmetric.Possibly(c, symmetric.NoSimpleMajority(n), truth, 1, nil)
+			half, _, _, _ = symmetric.Possibly(c, symmetric.ExactlyK(n, n/2), truth, 1, nil)
 		})
 		t.AddRow(n, c.NumEvents(), fmt.Sprint(xor), fmt.Sprint(nomaj), fmt.Sprint(half), d)
 	}

@@ -95,10 +95,10 @@ func X2Channels() *Table {
 			t.AddRow(w.name, "-", "-", "-", "-", "ERROR: "+err.Error())
 			continue
 		}
-		var min, max int64
-		d := timed(func() { min, max = relsum.InFlightRange(c) })
+		var b relsum.Bounds
+		d := timed(func() { b = relsum.Range(relsum.InFlight(c), 1, nil) })
 		t.AddRow(w.name, c.NumProcs(), c.NumEvents(), len(c.Messages()),
-			fmt.Sprintf("[%d,%d]", min, max), d)
+			fmt.Sprintf("[%d,%d]", b.Min, b.Max), d)
 	}
 	t.Notes = append(t.Notes,
 		"max is the buffer capacity the system actually needs; min = 0 is reachable quiescence")
@@ -143,7 +143,7 @@ func X3Definitely() *Table {
 			}
 		}
 		var fast bool
-		dFast := timed(func() { fast = conjunctive.DetectDefinitely(c, locals) })
+		dFast := timed(func() { fast = conjunctive.DetectDefinitely(c, locals, nil) })
 		if cfg.baseline {
 			var slow bool
 			dSlow := timed(func() {

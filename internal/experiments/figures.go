@@ -29,7 +29,7 @@ func Fig1Matrix() *Table {
 	{
 		c := gen.Random(gen.Params{Seed: 1, Procs: 8, Events: 50, MsgFrac: 0.3})
 		tabs := gen.BoolTables(2, c, 0.3)
-		res, err := singular.Detect(c, conjunctionOf(c.NumProcs()), singular.TruthFromTables(tabs), singular.ChainCover)
+		res, err := singular.Detect(c, conjunctionOf(c.NumProcs()), singular.TruthFromTables(tabs), singular.ChainCover, 1, nil)
 		status := fmt.Sprintf("detector ran, found=%v", res.Found)
 		if err != nil {
 			status = "ERROR: " + err.Error()
@@ -40,7 +40,7 @@ func Fig1Matrix() *Table {
 	{
 		c := gen.GroupFunnel(gen.Params{Seed: 3, Procs: 8, Events: 40, MsgFrac: 0.4}, 2, true)
 		p := groupedPredicate(4, 2)
-		res, err := singular.Detect(c, p, singular.TruthFromTables(gen.BoolTables(4, c, 0.3)), singular.ReceiveOrdered)
+		res, err := singular.Detect(c, p, singular.TruthFromTables(gen.BoolTables(4, c, 0.3)), singular.ReceiveOrdered, 1, nil)
 		status := fmt.Sprintf("detector ran, found=%v", res.Found)
 		if err != nil {
 			status = "ERROR: " + err.Error()
@@ -55,7 +55,7 @@ func Fig1Matrix() *Table {
 		if err != nil {
 			status = "ERROR: " + err.Error()
 		} else {
-			res, derr := singular.Detect(in.C, in.Pred, in.Truth(), singular.ChainCover)
+			res, derr := singular.Detect(in.C, in.Pred, in.Truth(), singular.ChainCover, 1, nil)
 			agree := res.Found == sat.Satisfiable(f)
 			status = fmt.Sprintf("reduction agrees with SAT: %v", agree)
 			if derr != nil {
@@ -68,15 +68,15 @@ func Fig1Matrix() *Table {
 	{
 		c := gen.Random(gen.Params{Seed: 5, Procs: 8, Events: 50, MsgFrac: 0.3})
 		gen.ArbitraryStepVar(6, c, "x", 4)
-		min, max := relsum.SumRange(c, "x")
+		b := relsum.Range(relsum.Var(c, "x"), 1, nil)
 		t.AddRow("relational sum, relop in {<,<=,>,>=}", "polynomial", "[4] Chase-Garg / [18]",
-			fmt.Sprintf("exact range [%d,%d] via max-flow closure", min, max))
+			fmt.Sprintf("exact range [%d,%d] via max-flow closure", b.Min, b.Max))
 	}
 	// Sum equality, unit steps: polynomial (this paper).
 	{
 		c := gen.Random(gen.Params{Seed: 7, Procs: 8, Events: 50, MsgFrac: 0.3})
 		gen.UnitStepVar(8, c, "x")
-		ok, err := relsum.Possibly(c, "x", relsum.Eq, 0)
+		ok, _, _, err := relsum.Possibly(relsum.Var(c, "x"), relsum.Eq, 0, 1, nil)
 		status := fmt.Sprintf("detector ran, found=%v", ok)
 		if err != nil {
 			status = "ERROR: " + err.Error()
@@ -87,7 +87,7 @@ func Fig1Matrix() *Table {
 	{
 		c := gen.Random(gen.Params{Seed: 9, Procs: 2, Events: 3, MsgFrac: 0})
 		gen.ArbitraryStepVar(10, c, "x", 5)
-		_, err := relsum.Possibly(c, "x", relsum.Eq, 0)
+		_, _, _, err := relsum.Possibly(relsum.Var(c, "x"), relsum.Eq, 0, 1, nil)
 		status := "unit-step guard fired (exhaustive/reduction path required)"
 		if err == nil {
 			status = "variable happened to be unit-step"
@@ -98,9 +98,9 @@ func Fig1Matrix() *Table {
 	{
 		c := gen.Random(gen.Params{Seed: 11, Procs: 8, Events: 40, MsgFrac: 0.3})
 		gen.BoolVar(12, c, "b", 0.3)
-		ok, _, err := symmetric.Possibly(c, symmetric.Xor(8), func(e computation.Event) bool {
+		ok, _, _, err := symmetric.Possibly(c, symmetric.Xor(8), func(e computation.Event) bool {
 			return c.Var("b", e.ID) != 0
-		})
+		}, 1, nil)
 		status := fmt.Sprintf("detector ran, found=%v", ok)
 		if err != nil {
 			status = "ERROR: " + err.Error()
@@ -227,7 +227,7 @@ func Fig3Table() *Table {
 	t.AddRow("conflict arrows (messages)", len(in.C.Messages()))
 	t.AddRow("predicate", in.Pred.String())
 	want := sat.Satisfiable(f)
-	res, err := singular.Detect(in.C, in.Pred, in.Truth(), singular.ChainCover)
+	res, err := singular.Detect(in.C, in.Pred, in.Truth(), singular.ChainCover, 1, nil)
 	if err != nil {
 		t.AddRow("error", err.Error())
 		return t

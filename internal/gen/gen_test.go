@@ -65,7 +65,7 @@ func TestGroupFunnelReceiveOrdered(t *testing.T) {
 		{{Proc: 4}, {Proc: 5}},
 	}}
 	truth := singular.TruthFromTables(BoolTables(7, c, 0.3))
-	if _, err := singular.Detect(c, p, truth, singular.ReceiveOrdered); err != nil {
+	if _, err := singular.Detect(c, p, truth, singular.ReceiveOrdered, 1, nil); err != nil {
 		t.Fatalf("receive-ordered detector rejected funnelled computation: %v", err)
 	}
 }
@@ -84,7 +84,7 @@ func TestGroupFunnelSendOrdered(t *testing.T) {
 		{{Proc: 2}, {Proc: 3}},
 	}}
 	truth := singular.TruthFromTables(BoolTables(7, c, 0.3))
-	if _, err := singular.Detect(c, p, truth, singular.SendOrdered); err != nil {
+	if _, err := singular.Detect(c, p, truth, singular.SendOrdered, 1, nil); err != nil {
 		t.Fatalf("send-ordered detector rejected funnelled computation: %v", err)
 	}
 }
@@ -92,7 +92,7 @@ func TestGroupFunnelSendOrdered(t *testing.T) {
 func TestUnitStepVar(t *testing.T) {
 	c := Random(Params{Seed: 2, Procs: 4, Events: 12, MsgFrac: 0.4})
 	UnitStepVar(11, c, "x")
-	if err := relsum.ValidateUnitStep(c, "x"); err != nil {
+	if err := relsum.Var(c, "x").ValidateUnitStep(); err != nil {
 		t.Fatalf("UnitStepVar not unit-step: %v", err)
 	}
 }
@@ -100,9 +100,13 @@ func TestUnitStepVar(t *testing.T) {
 func TestArbitraryStepVar(t *testing.T) {
 	c := Random(Params{Seed: 2, Procs: 3, Events: 20, MsgFrac: 0.2})
 	ArbitraryStepVar(13, c, "y", 5)
-	if got := relsum.MaxStep(c, "y"); got > 5 {
-		t.Fatalf("MaxStep = %d, want <= 5", got)
-	}
+	q := relsum.Var(c, "y")
+	c.Events(func(e computation.Event) bool {
+		if d := q.Weight(e); d > 5 || d < -5 {
+			t.Fatalf("event %v steps by %d, want |step| <= 5", e, d)
+		}
+		return true
+	})
 }
 
 func TestBoolVar(t *testing.T) {

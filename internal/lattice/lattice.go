@@ -78,11 +78,6 @@ func Count(c *computation.Computation) int64 {
 // returns a witness cut when one exists. This is the exhaustive detector for
 // Possibly(phi) under the weak modality.
 func Possibly(c *computation.Computation, pred Predicate) (bool, computation.Cut) {
-	return PossiblyTraced(c, pred, nil)
-}
-
-// PossiblyTraced is Possibly with work counters accumulated into the trace.
-func PossiblyTraced(c *computation.Computation, pred Predicate, tr *obs.Trace) (bool, computation.Cut) {
 	var witness computation.Cut
 	found := false
 	ExploreTraced(c, func(k computation.Cut) bool {
@@ -92,7 +87,7 @@ func PossiblyTraced(c *computation.Computation, pred Predicate, tr *obs.Trace) (
 			return false
 		}
 		return true
-	}, tr)
+	}, nil)
 	return found, witness
 }
 

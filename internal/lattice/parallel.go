@@ -14,7 +14,7 @@ import (
 // their dedup keys. A single sequential merge then walks the frontier
 // in index order, applying the seen-map, bumping the work counters and
 // taking every early-exit decision exactly where the sequential code
-// would. Verdicts, witnesses and counters are therefore bit-identical
+// would. Verdicts and counters are therefore bit-identical
 // for every worker count; parallelism 1 short-circuits to the original
 // sequential functions.
 
@@ -23,64 +23,6 @@ import (
 type succ struct {
 	cut computation.Cut
 	key string
-}
-
-// PossiblyPar is PossiblyTraced with the level sweep spread over a
-// bounded worker pool. workers <= 1 runs the exact sequential kernel;
-// any worker count returns the same verdict, witness and counters.
-func PossiblyPar(c *computation.Computation, pred Predicate, workers int, tr *obs.Trace) (bool, computation.Cut) {
-	if workers <= 1 {
-		return PossiblyTraced(c, pred, tr)
-	}
-	var cuts, levels, width int64
-	defer func() {
-		tr.Add("lattice.cuts_explored", cuts)
-		tr.Add("lattice.levels_swept", levels)
-		tr.Max("lattice.max_frontier_width", width)
-	}()
-	type visit struct {
-		holds bool
-		succs []succ
-	}
-	level := []computation.Cut{c.InitialCut()}
-	seen := map[string]bool{c.InitialCut().Key(): true}
-	for len(level) > 0 {
-		levels++
-		if int64(len(level)) > width {
-			width = int64(len(level))
-		}
-		out := make([]visit, len(level))
-		par.Do(workers, len(level), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				k := level[i]
-				if pred(c, k) {
-					// The merge stops at the first satisfying cut in
-					// frontier order; successors are never needed.
-					out[i].holds = true
-					continue
-				}
-				for _, id := range c.Enabled(k) {
-					nk := c.Execute(k, c.Event(id).Proc)
-					out[i].succs = append(out[i].succs, succ{nk, nk.Key()})
-				}
-			}
-		})
-		var next []computation.Cut
-		for i, k := range level {
-			cuts++
-			if out[i].holds {
-				return true, k.Clone()
-			}
-			for _, s := range out[i].succs {
-				if !seen[s.key] {
-					seen[s.key] = true
-					next = append(next, s.cut)
-				}
-			}
-		}
-		level = next
-	}
-	return false, nil
 }
 
 // DefinitelyPar is DefinitelyTraced with each level's successor

@@ -36,29 +36,6 @@ func parTestComputations(t *testing.T) []*computation.Computation {
 	return cs
 }
 
-// TestPossiblyParMatchesSequential: verdict, witness and every counter
-// must be identical across worker counts.
-func TestPossiblyParMatchesSequential(t *testing.T) {
-	for ci, c := range parTestComputations(t) {
-		for _, k := range []int64{-100, 0, 2, 100} {
-			pred := sumAtLeast("x", k)
-			refTr := obs.NewTrace()
-			refOK, refWit := PossiblyTraced(c, pred, refTr)
-			for _, w := range workerCounts {
-				tr := obs.NewTrace()
-				ok, wit := PossiblyPar(c, pred, w, tr)
-				if ok != refOK {
-					t.Fatalf("c%d k=%d w=%d: Possibly = %v, want %v", ci, k, w, ok, refOK)
-				}
-				if (wit == nil) != (refWit == nil) || (wit != nil && !wit.Equal(refWit)) {
-					t.Fatalf("c%d k=%d w=%d: witness %v, want %v", ci, k, w, wit, refWit)
-				}
-				assertSameCounters(t, refTr, tr, fmt.Sprintf("Possibly c%d k=%d w=%d", ci, k, w))
-			}
-		}
-	}
-}
-
 func TestDefinitelyParMatchesSequential(t *testing.T) {
 	for ci, c := range parTestComputations(t) {
 		for _, k := range []int64{-100, 0, 2, 100} {

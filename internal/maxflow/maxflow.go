@@ -201,35 +201,20 @@ func (g *Graph) sourceSide(s int) []bool {
 	return side
 }
 
-// MaxClosure solves the maximum-weight closure problem on a DAG: choose a
-// set S of nodes closed under predecessors (if v is in S, every u with an
-// edge u->v ... see orientation note below) maximizing the sum of weights.
-//
-// Orientation: edges are given as "v requires u" pairs (u must be in S
-// whenever v is), i.e. u is a prerequisite of v. The empty closure is
-// allowed, so the result is always >= 0 in weight terms only when positive
-// weights exist; the returned value is the best closure weight (possibly 0
-// for the empty closure), and the mask marks chosen nodes.
-func MaxClosure(weights []int64, requires [][2]int) (int64, []bool) {
-	return MaxClosureTraced(weights, requires, nil)
-}
-
-// MaxClosureTraced is MaxClosure, additionally accumulating work counters
-// (augmenting paths, BFS phases, graph and closure sizes) into the trace.
-// A nil trace is free.
-func MaxClosureTraced(weights []int64, requires [][2]int, tr *obs.Trace) (int64, []bool) {
-	return MaxClosureParTraced(weights, requires, 1, tr)
-}
-
-// Closure solves one maximum-weight closure problem in g's storage: the
+// Closure solves one maximum-weight closure problem in g's storage:
+// choose a set of nodes closed under the "v requires u" pairs of
+// requires (u must be chosen whenever v is) maximizing the sum of the
 // weights (negated when negate is set, which turns the maximum into
-// minus the minimum closure weight) under the "v requires u" pairs of
-// requires. When mask is non-nil it must have len(weights) entries and
-// receives the chosen closure. It is the single closure reduction
-// behind every caller — the batch detectors through MaxClosure and its
-// parallel variants, the streamed range tracker on a Graph it keeps —
-// and with a reused g, no mask and no trace it allocates nothing once
-// the arena has grown.
+// minus the minimum closure weight). The empty closure is allowed, so
+// the result is never negative. When mask is non-nil it must have
+// len(weights) entries and receives the chosen closure. The flow phases
+// run on a pool of workers with identical value, mask and counters for
+// every worker count; work counters (augmenting paths, BFS phases,
+// graph and closure sizes) accumulate into tr, and a nil trace is free.
+// It is the single closure reduction behind every caller — the batch
+// range detectors through MaxClosurePair, the streamed range tracker on
+// a Graph it keeps — and with a reused g, no mask and no trace it
+// allocates nothing once the arena has grown.
 func (g *Graph) Closure(weights []int64, negate bool, requires [][2]int, workers int, mask []bool, tr *obs.Trace) int64 {
 	// Standard reduction: source -> v with cap w(v) for positive
 	// weights, v -> sink with cap -w(v) for negative weights, and an

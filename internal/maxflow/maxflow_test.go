@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"github.com/distributed-predicates/gpd/internal/obs"
 )
 
 func TestMaxFlowSimple(t *testing.T) {
@@ -99,6 +101,13 @@ func bruteClosure(weights []int64, requires [][2]int) int64 {
 	return best
 }
 
+// closure solves one maximum-weight closure instance on a fresh graph,
+// returning the value and the chosen nodes.
+func closure(weights []int64, requires [][2]int, workers int, tr *obs.Trace) (int64, []bool) {
+	mask := make([]bool, len(weights))
+	return new(Graph).Closure(weights, false, requires, workers, mask, tr), mask
+}
+
 func TestMaxClosureAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 300; trial++ {
@@ -118,7 +127,7 @@ func TestMaxClosureAgainstBruteForce(t *testing.T) {
 			}
 		}
 		want := bruteClosure(weights, requires)
-		got, mask := MaxClosure(weights, requires)
+		got, mask := closure(weights, requires, 1, nil)
 		if got != want {
 			t.Fatalf("trial %d: MaxClosure = %d, brute = %d (w=%v req=%v)",
 				trial, got, want, weights, requires)
@@ -142,9 +151,9 @@ func TestMaxClosureAgainstBruteForce(t *testing.T) {
 }
 
 func TestMaxClosureAllNegative(t *testing.T) {
-	got, mask := MaxClosure([]int64{-1, -5}, nil)
+	got, mask := closure([]int64{-1, -5}, nil, 1, nil)
 	if got != 0 {
-		t.Fatalf("MaxClosure = %d, want 0 (empty closure)", got)
+		t.Fatalf("Closure = %d, want 0 (empty closure)", got)
 	}
 	if mask[0] || mask[1] {
 		t.Fatalf("mask = %v, want empty", mask)
@@ -154,9 +163,9 @@ func TestMaxClosureAllNegative(t *testing.T) {
 func TestMaxClosureChain(t *testing.T) {
 	// 2 requires 1 requires 0; weights 5, -3, 4: take all = 6; take {0}
 	// = 5; best 6.
-	got, _ := MaxClosure([]int64{5, -3, 4}, [][2]int{{1, 0}, {2, 1}})
+	got, _ := closure([]int64{5, -3, 4}, [][2]int{{1, 0}, {2, 1}}, 1, nil)
 	if got != 6 {
-		t.Fatalf("MaxClosure = %d, want 6", got)
+		t.Fatalf("Closure = %d, want 6", got)
 	}
 }
 
@@ -196,7 +205,7 @@ func TestGraphReuseMatchesFresh(t *testing.T) {
 		}
 		mask := make([]bool, n)
 		got := g.Closure(weights, negate, requires, 1, mask, nil)
-		want, wantMask := MaxClosure(eff, requires)
+		want, wantMask := closure(eff, requires, 1, nil)
 		if got != want || !reflect.DeepEqual(mask, wantMask) {
 			t.Fatalf("trial %d: reused graph (%d, %v), fresh (%d, %v)", trial, got, mask, want, wantMask)
 		}

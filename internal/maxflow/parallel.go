@@ -65,15 +65,7 @@ func (g *Graph) bfsPar(s, t, workers int) bool {
 	return level[t] >= 0
 }
 
-// MaxClosureParTraced is MaxClosureTraced with the flow phases run on a
-// bounded worker pool. Identical value, mask and counters for every
-// worker count.
-func MaxClosureParTraced(weights []int64, requires [][2]int, workers int, tr *obs.Trace) (int64, []bool) {
-	mask := make([]bool, len(weights))
-	return new(Graph).Closure(weights, false, requires, workers, mask, tr), mask
-}
-
-// MaxClosurePairTraced solves the two closure problems behind every sum
+// MaxClosurePair solves the two closure problems behind every sum
 // range — the maximum-weight closure of weights and of their negation
 // (whose value negated is the minimum) — splitting the worker budget
 // across the two independent flow computations when workers > 1. The
@@ -81,7 +73,7 @@ func MaxClosureParTraced(weights []int64, requires [][2]int, workers int, tr *ob
 // commutative, and both closures always run to completion, so totals
 // are deterministic. Returns the weights closure first, the negated one
 // second, in the same order the sequential callers computed them.
-func MaxClosurePairTraced(weights []int64, requires [][2]int, workers int, tr *obs.Trace) (best int64, bestMask []bool, negBest int64, negMask []bool) {
+func MaxClosurePair(weights []int64, requires [][2]int, workers int, tr *obs.Trace) (best int64, bestMask []bool, negBest int64, negMask []bool) {
 	bestMask = make([]bool, len(weights))
 	negMask = make([]bool, len(weights))
 	if workers <= 1 {

@@ -78,10 +78,10 @@ func TestMaxClosureParMatchesSequential(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		weights, requires := randomClosureInstance(seed, 40)
 		refTr := obs.NewTrace()
-		wantVal, wantMask := MaxClosureTraced(weights, requires, refTr)
+		wantVal, wantMask := closure(weights, requires, 1, refTr)
 		for _, w := range []int{1, 2, 4, 8} {
 			tr := obs.NewTrace()
-			val, mask := MaxClosureParTraced(weights, requires, w, tr)
+			val, mask := closure(weights, requires, w, tr)
 			if val != wantVal || !reflect.DeepEqual(mask, wantMask) {
 				t.Fatalf("seed %d w=%d: closure (%d, %v), want (%d, %v)", seed, w, val, mask, wantVal, wantMask)
 			}
@@ -96,10 +96,10 @@ func TestMaxClosurePairMatchesSequential(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		weights, requires := randomClosureInstance(seed, 40)
 		refTr := obs.NewTrace()
-		wantBest, wantBestMask, wantNeg, wantNegMask := MaxClosurePairTraced(weights, requires, 1, refTr)
+		wantBest, wantBestMask, wantNeg, wantNegMask := MaxClosurePair(weights, requires, 1, refTr)
 		for _, w := range []int{2, 4, 8} {
 			tr := obs.NewTrace()
-			best, bestMask, neg, negMask := MaxClosurePairTraced(weights, requires, w, tr)
+			best, bestMask, neg, negMask := MaxClosurePair(weights, requires, w, tr)
 			if best != wantBest || neg != wantNeg ||
 				!reflect.DeepEqual(bestMask, wantBestMask) || !reflect.DeepEqual(negMask, wantNegMask) {
 				t.Fatalf("seed %d w=%d: pair (%d,%d), want (%d,%d)", seed, w, best, neg, wantBest, wantNeg)

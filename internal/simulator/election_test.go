@@ -34,7 +34,7 @@ func TestElectionExactlyOneLeader(t *testing.T) {
 			t.Fatalf("seed %d: elected id %d, want max %d", seed, perm[leaderProc], n-1)
 		}
 		// Safety over ALL consistent cuts: never two leaders.
-		two, err := relsum.Possibly(c, VarLeader, relsum.Ge, 2)
+		two, _, _, err := relsum.Possibly(relsum.Var(c, VarLeader), relsum.Ge, 2, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestElectionExactlyOneLeader(t *testing.T) {
 			t.Fatalf("seed %d: Possibly(two leaders) must be false", seed)
 		}
 		// Progress: every run of the recorded computation elects.
-		def, err := relsum.Definitely(c, VarLeader, relsum.Eq, 1)
+		def, err := relsum.Definitely(relsum.Var(c, VarLeader), relsum.Eq, 1, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestElectionCandidatesShrink(t *testing.T) {
 	// Candidate count is monotone non-increasing along every run:
 	// Definitely(candidates <= k) holds for k from n-1 downward... at
 	// least verify the final-count reachability facts.
-	min, _ := relsum.SumRange(c, VarCandidate)
+	min, _ := rangeOf(relsum.Var(c, VarCandidate))
 	if min != 1 {
 		t.Fatalf("min candidates over cuts = %d, want 1", min)
 	}

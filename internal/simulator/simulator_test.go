@@ -8,6 +8,13 @@ import (
 	"github.com/distributed-predicates/gpd/internal/core/symmetric"
 )
 
+// rangeOf is the exact range of an ideal-sum quantity over the
+// consistent cuts.
+func rangeOf(q relsum.Quantity) (min, max int64) {
+	b := relsum.Range(q, 1, nil)
+	return b.Min, b.Max
+}
+
 func TestTokenRingConservation(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		sim := New(seed, NewTokenRingProcs(4, 2, 1, 3))
@@ -21,7 +28,7 @@ func TestTokenRingConservation(t *testing.T) {
 		// Tokens are conserved except while in flight: the sum over any
 		// consistent cut is between 0 and 2, and the final cut holds
 		// exactly 2.
-		min, max := relsum.SumRange(c, VarTokens)
+		min, max := rangeOf(relsum.Var(c, VarTokens))
 		if max != 2 {
 			t.Errorf("seed %d: max tokens = %d, want 2", seed, max)
 		}
@@ -40,7 +47,7 @@ func TestTokenRingUnitStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := relsum.ValidateUnitStep(c, VarTokens); err != nil {
+	if err := relsum.Var(c, VarTokens).ValidateUnitStep(); err != nil {
 		t.Errorf("token counts must be unit-step: %v", err)
 	}
 }
@@ -55,9 +62,7 @@ func TestFlawedMutexViolationDetectable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ok, _, err := symmetric.Possibly(c,
-			symmetric.FromFunc(4, func(m int) bool { return m >= 2 }),
-			func(e computation.Event) bool { return c.Var(VarCS, e.ID) != 0 })
+		ok, _, _, err := symmetric.Possibly(c, symmetric.FromFunc(4, func(m int) bool { return m >= 2 }), func(e computation.Event) bool { return c.Var(VarCS, e.ID) != 0 }, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +89,7 @@ func TestVoterRecordsVotes(t *testing.T) {
 	if yes != 3 {
 		t.Errorf("initial yes count = %d, want 3", yes)
 	}
-	if err := relsum.ValidateUnitStep(c, VarYes); err != nil {
+	if err := relsum.Var(c, VarYes).ValidateUnitStep(); err != nil {
 		t.Errorf("votes must be unit-step: %v", err)
 	}
 }
@@ -104,7 +109,7 @@ func TestGossiperShape(t *testing.T) {
 			t.Errorf("process %d has %d events, want >= 11", p, c.Len(computation.ProcID(p)))
 		}
 	}
-	if err := relsum.ValidateUnitStep(c, VarLevel); err != nil {
+	if err := relsum.Var(c, VarLevel).ValidateUnitStep(); err != nil {
 		t.Errorf("level must be unit-step: %v", err)
 	}
 	if len(sim.VarNames()) != 2 {

@@ -46,7 +46,7 @@ func TestTwoPhaseAllYesCommits(t *testing.T) {
 		}
 		// Definitely(everyone committed): sum of committed flags
 		// reaches 4 on every run.
-		def, err := relsum.Definitely(c, VarCommitted, relsum.Eq, 4)
+		def, err := relsum.Definitely(relsum.Var(c, VarCommitted), relsum.Eq, 4, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestTwoPhaseQuiescence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	min, max := relsum.InFlightRange(c)
+	min, max := rangeOf(relsum.InFlight(c))
 	if min != 0 {
 		t.Fatalf("min in-flight = %d", min)
 	}

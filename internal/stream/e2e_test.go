@@ -15,6 +15,13 @@ import (
 	"github.com/distributed-predicates/gpd/internal/gen"
 )
 
+// rangeOf is the exact range of an ideal-sum quantity over the
+// consistent cuts.
+func rangeOf(q relsum.Quantity) (min, max int64) {
+	b := relsum.Range(q, 1, nil)
+	return b.Min, b.Max
+}
+
 // e2eJob is one monitored application: a random computation, its session
 // spec, and the offline-oracle answers for both modalities.
 type e2eJob struct {
@@ -52,19 +59,19 @@ func makeJobs(t *testing.T, n int) []e2eJob {
 			j.spec = Spec{Pred: "all(x)", Procs: np, Retain: true}
 			j.events = TableTrace(c, truth)
 			j.wantPos = conjunctive.DetectTables(c, truth).Found
-			j.wantDef = conjunctive.DetectDefinitely(c, locals)
+			j.wantDef = conjunctive.DetectDefinitely(c, locals, nil)
 		case 1: // sum equality
 			gen.UnitStepVar(seed, c, varName)
 			events, init := SumTrace(c, varName)
-			lo, hi := relsum.SumRange(c, varName)
+			lo, hi := rangeOf(relsum.Var(c, varName))
 			k := lo + seed%(hi-lo+2)
 			j.spec = Spec{Pred: sumEqPred(k), Procs: np, Init: init, Retain: true}
 			j.events = events
 			var err error
-			if j.wantPos, err = relsum.Possibly(c, varName, relsum.Eq, k); err != nil {
+			if j.wantPos, _, _, err = relsum.Possibly(relsum.Var(c, varName), relsum.Eq, k, 1, nil); err != nil {
 				t.Fatal(err)
 			}
-			if j.wantDef, err = relsum.Definitely(c, varName, relsum.Eq, k); err != nil {
+			if j.wantDef, err = relsum.Definitely(relsum.Var(c, varName), relsum.Eq, k, 1, nil); err != nil {
 				t.Fatal(err)
 			}
 		case 2: // symmetric
@@ -75,20 +82,20 @@ func makeJobs(t *testing.T, n int) []e2eJob {
 			j.spec = Spec{Pred: levelsPred(sp.Levels), Procs: np, Init: init, Retain: true}
 			j.events = events
 			var err error
-			if j.wantPos, _, err = symmetric.Possibly(c, sp, truth); err != nil {
+			if j.wantPos, _, _, err = symmetric.Possibly(c, sp, truth, 1, nil); err != nil {
 				t.Fatal(err)
 			}
-			if j.wantDef, err = symmetric.Definitely(c, sp, truth); err != nil {
+			if j.wantDef, err = symmetric.Definitely(c, sp, truth, 1, nil); err != nil {
 				t.Fatal(err)
 			}
 		case 3: // channel occupancy, via the canonical grammar
 			k := 1 + seed%2
 			j.spec = Spec{Pred: fmt.Sprintf("inflight >= %d", k), Procs: np, Retain: true}
 			j.events = InFlightTrace(c)
-			min, max := relsum.InFlightRangeTraced(c, nil)
+			min, max := rangeOf(relsum.InFlight(c))
 			j.wantPos = min >= k || max >= k
 			var err error
-			if j.wantDef, err = relsum.DefinitelyWeightedTraced(c, 0, relsum.InFlightWeight(c), relsum.Ge, k, nil); err != nil {
+			if j.wantDef, err = relsum.Definitely(relsum.InFlight(c), relsum.Ge, k, 1, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -293,5 +293,5 @@ func TestMailboxBackpressureBlocks(t *testing.T) {
 
 // relsumRange is the offline oracle for reachable sums.
 func relsumRange(c *computation.Computation) (int64, int64) {
-	return relsum.SumRange(c, varName)
+	return rangeOf(relsum.Var(c, varName))
 }

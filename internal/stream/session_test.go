@@ -155,7 +155,7 @@ func TestSessionConjunctiveAgreesWithOffline(t *testing.T) {
 				return e.Index < len(row) && row[e.Index]
 			}
 		}
-		offDef := conjunctive.DetectDefinitely(c, locals)
+		offDef := conjunctive.DetectDefinitely(c, locals, nil)
 
 		spec := Spec{Pred: "all(x)", Procs: c.NumProcs(), Retain: true}
 		v, _ := replay(t, tc.rng, spec, TableTrace(c, truth))
@@ -177,13 +177,13 @@ func TestSessionSumEqAgreesWithOffline(t *testing.T) {
 		c := randomComputation(seed)
 		gen.UnitStepVar(seed, c, varName)
 		events, init := SumTrace(c, varName)
-		lo, hi := relsum.SumRange(c, varName)
+		lo, hi := rangeOf(relsum.Var(c, varName))
 		for _, k := range []int64{lo - 1, lo, (lo + hi) / 2, hi, hi + 1} {
-			offPos, err := relsum.Possibly(c, varName, relsum.Eq, k)
+			offPos, _, _, err := relsum.Possibly(relsum.Var(c, varName), relsum.Eq, k, 1, nil)
 			if err != nil {
 				t.Fatalf("seed %d: offline Possibly: %v", seed, err)
 			}
-			offDef, err := relsum.Definitely(c, varName, relsum.Eq, k)
+			offDef, err := relsum.Definitely(relsum.Var(c, varName), relsum.Eq, k, 1, nil)
 			if err != nil {
 				t.Fatalf("seed %d: offline Definitely: %v", seed, err)
 			}
@@ -220,11 +220,11 @@ func TestSessionSymmetricAgreesWithOffline(t *testing.T) {
 			if len(sp.Levels) == 0 {
 				continue // unsatisfiable (e.g. NoSimpleMajority with odd n)
 			}
-			offPos, _, err := symmetric.Possibly(c, sp, truth)
+			offPos, _, _, err := symmetric.Possibly(c, sp, truth, 1, nil)
 			if err != nil {
 				t.Fatalf("seed %d %v: offline Possibly: %v", seed, sp, err)
 			}
-			offDef, err := symmetric.Definitely(c, sp, truth)
+			offDef, err := symmetric.Definitely(c, sp, truth, 1, nil)
 			if err != nil {
 				t.Fatalf("seed %d %v: offline Definitely: %v", seed, sp, err)
 			}

@@ -66,8 +66,8 @@ func TableTrace(c *computation.Computation, truth [][]bool) []Event {
 // sends − receives, derived from the computation's messages — the delta
 // stream an instrumented transport would report for inflight sessions.
 func InFlightTrace(c *computation.Computation) []Event {
-	w := relsum.InFlightWeight(c)
+	q := relsum.InFlight(c)
 	return Trace(c, func(e computation.Event, ev *Event) {
-		ev.Val = w(e)
+		ev.Val = q.Weight(e)
 	})
 }

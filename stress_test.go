@@ -90,7 +90,7 @@ func TestStressRandomDetectors(t *testing.T) {
 	// Every k in [min,max] is witnessed (Theorem 4 at scale), sampled at
 	// the edges and middle.
 	for _, k := range []int64{min, (min + max) / 2, max} {
-		ok, cut, err := relsum.PossiblyEqWitness(c, "x", k)
+		ok, cut, _, err := relsum.Possibly(relsum.Var(c, "x"), relsum.Eq, k, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,8 +102,8 @@ func TestStressRandomDetectors(t *testing.T) {
 		}
 	}
 	// Symmetric predicate at scale.
-	ok, _, err := symmetric.Possibly(c, symmetric.NoSimpleMajority(128),
-		func(e gpd.Event) bool { return c.Var("b", e.ID) != 0 })
+	ok, _, _, err := symmetric.Possibly(c, symmetric.NoSimpleMajority(128),
+		func(e gpd.Event) bool { return c.Var("b", e.ID) != 0 }, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestStressRandomDetectors(t *testing.T) {
 	for p := 0; p < 128; p++ {
 		locals[gpd.ProcID(p)] = func(e gpd.Event) bool { return c.Var("b", e.ID) != 0 }
 	}
-	_ = conjunctive.Detect(c, locals)
+	_ = conjunctive.Detect(c, locals, nil)
 }
 
 func TestStressSingularOrderedLarge(t *testing.T) {
@@ -130,7 +130,7 @@ func TestStressSingularOrderedLarge(t *testing.T) {
 		})
 	}
 	truth := singular.TruthFromTables(gen.BoolTables(12, c, 0.1))
-	res, err := singular.Detect(c, pred, truth, gpd.StrategyReceiveOrdered)
+	res, err := singular.Detect(c, pred, truth, gpd.StrategyReceiveOrdered, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,10 +95,12 @@ const (
 	StrategyBatch = detect.StrategyBatch
 	// StrategyReplay drives the family's incremental detector over a
 	// causal linearization of the computation — the same state machine
-	// the streaming server runs — and, under ModalityDefinitely, its
-	// close-time finalizer. Available only for incremental-capable
-	// families; cross-checkable against StrategyBatch. Replay runs do
-	// not construct witness cuts.
+	// the streaming server runs — and, under ModalityDefinitely, the
+	// same close-time decision a retaining session makes: the family's
+	// batch Definitely over the computation rebuilt from the delivered
+	// events. Available only for incremental-capable families;
+	// cross-checkable against StrategyBatch. Replay runs do not
+	// construct witness cuts.
 	StrategyReplay = detect.StrategyReplay
 	// StrategySlice computes the predicate's slice first — the exact
 	// sublattice of satisfying cuts a regular predicate induces (Mittal

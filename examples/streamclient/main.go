@@ -374,15 +374,11 @@ func fabricateMux(rng *rand.Rand, procs, rounds int, vars []string) (*computatio
 func fabricate(i, procs, events int, seed int64) (*computation.Computation, gpd.Spec, stream.Spec, []stream.Event, error) {
 	c := gen.Random(gen.Params{Seed: seed, Procs: procs, Events: events, MsgFrac: 0.6})
 	switch i % 4 {
-	case 0: // conjunctive
+	case 0: // conjunctive, seeded with the initial states
 		gen.BoolVar(seed, c, varName, 0.4)
-		for p := 0; p < procs; p++ {
-			// Online sessions take initial states as false.
-			c.SetVar(varName, c.Initial(computation.ProcID(p)).ID, 0)
-		}
-		trace, _ := stream.BoolTrace(c, varName)
+		trace, init := stream.BoolTrace(c, varName)
 		ps := gpd.Spec{Family: gpd.FamilyConjunctive, Var: varName}
-		return c, ps, stream.Spec{Pred: ps.String(), Procs: procs, Retain: true}, trace, nil
+		return c, ps, stream.Spec{Pred: ps.String(), Procs: procs, Init: init, Retain: true}, trace, nil
 	case 1: // unit-step sum equality
 		gen.UnitStepVar(seed, c, varName)
 		trace, init := stream.SumTrace(c, varName)
@@ -412,10 +408,7 @@ func driveSliced(addr string, procs, events int, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	c := gen.Random(gen.Params{Seed: seed, Procs: procs, Events: events, MsgFrac: 0.6})
 	gen.BoolVar(seed, c, varName, 0.4)
-	for p := 0; p < procs; p++ {
-		c.SetVar(varName, c.Initial(computation.ProcID(p)).ID, 0) // online initial states are false
-	}
-	trace, _ := stream.BoolTrace(c, varName)
+	trace, init := stream.BoolTrace(c, varName)
 	ps := gpd.Spec{Family: gpd.FamilyConjunctive, Var: varName}
 
 	rep, err := gpd.Detect(c, ps)
@@ -440,7 +433,7 @@ func driveSliced(addr string, procs, events int, seed int64) error {
 	}
 	defer cl.Close()
 	id := fmt.Sprintf("streamclient-slice-%d", os.Getpid())
-	if err := cl.Open(id, stream.Spec{Pred: ps.String(), Procs: procs, Slice: true}); err != nil {
+	if err := cl.Open(id, stream.Spec{Pred: ps.String(), Procs: procs, Init: init, Slice: true}); err != nil {
 		return err
 	}
 	n := len(trace)

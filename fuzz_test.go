@@ -83,7 +83,8 @@ type rangeCase struct {
 // rangeFamilyCases builds predicates of every range family over the
 // fuzzed computation: each relop against one threshold for sum,
 // inflight and count, plus xor and a level set, all thresholds taken
-// from the fuzz input.
+// from the fuzz input — and the conjunction all(flag), the one streamed
+// truth family outside the range construction.
 func rangeFamilyCases(c *gpd.Computation, kSum, kIn, kCount int64, levelMask int) []rangeCase {
 	count := func(cc *gpd.Computation, k gpd.Cut) int64 {
 		return int64(cc.CountTrue(k, func(e gpd.Event) bool { return cc.Var("flag", e.ID) != 0 }))
@@ -113,12 +114,15 @@ func rangeFamilyCases(c *gpd.Computation, kSum, kIn, kCount int64, levelMask int
 	}
 	cases = append(cases, rangeCase{"levels(flag): " + strings.Join(levels, ", "), func(cc *gpd.Computation, k gpd.Cut) bool {
 		return in[count(cc, k)]
+	}}, rangeCase{"all(flag)", func(cc *gpd.Computation, k gpd.Cut) bool {
+		return count(cc, k) == int64(cc.NumProcs())
 	}})
 	return cases
 }
 
 // FuzzRangeRoutes is a cross-route differential check of the range
-// families (sum, inflight, count, xor, levels) under both modalities.
+// families (sum, inflight, count, xor, levels) and all(flag) under
+// both modalities; the flag starts true on some processes.
 // On every decoded computation the batch verdict must equal the
 // exhaustive lattice oracle's, a batch witness must satisfy the
 // predicate at a consistent cut, and the replay route (the streamed

@@ -14,10 +14,11 @@
 // the number of process pairs checked.
 //
 // The same inequality drives the online Checker, which consumes vector
-// timestamps of true events streamed by the application processes.
+// timestamps of events streamed by the application processes.
 package conjunctive
 
 import (
+	"math"
 	"sort"
 
 	"github.com/distributed-predicates/gpd/internal/computation"
@@ -170,16 +171,22 @@ func DetectTables(c *computation.Computation, truth [][]bool) Result {
 }
 
 // Checker is the online weak-conjunctive detector. Application processes
-// stream the vector timestamps of their true events (in local order); the
-// checker reports as soon as a pairwise-consistent set, one true event per
-// involved process, is known.
+// stream the vector timestamps of their events (in local order) with the
+// local predicate's truth after each; the checker reports as soon as a
+// pairwise-consistent set of true states, one per involved process, is
+// known. A true state is the state after a true event, or the initial
+// state of a process seeded with Seed.
 //
-// Checker is not safe for concurrent use; serialize calls to Observe (the
-// monitor package wraps it in a goroutine-confined loop).
+// Checker is not safe for concurrent use; callers serialize Step, Sweep
+// and Observe (the stream detectors run it on one goroutine).
 type Checker struct {
 	procs []int         // involved processes, in slot order
 	slot  map[int]int   // process -> slot
-	queue [][]vclock.VC // pending true-event timestamps per slot
+	queue [][]vclock.VC // candidate true-state timestamps per slot
+	// seed holds, per slot, an initial-state candidate whose own
+	// component still waits for the process's first event (nil once
+	// known, or when the slot was never seeded).
+	seed  []vclock.VC
 	found bool
 	wit   []vclock.VC
 }
@@ -191,6 +198,7 @@ func NewChecker(procs []int) *Checker {
 		procs: append([]int(nil), procs...),
 		slot:  make(map[int]int, len(procs)),
 		queue: make([][]vclock.VC, len(procs)),
+		seed:  make([]vclock.VC, len(procs)),
 	}
 	for i, p := range procs {
 		ch.slot[p] = i
@@ -198,11 +206,63 @@ func NewChecker(procs []int) *Checker {
 	return ch
 }
 
+// Seed makes the initial state of an involved process its first
+// candidate: the local predicate holds before the process's first event.
+// n is the timestamp length. The initial state has seen no event of
+// another process, so its other components are zero. Its own component
+// is unbounded until the process's first event is stepped, true or not,
+// and then is that event's own component minus one. Until that event
+// arrives no candidate can have seen an event of the process, so the
+// unbounded component keeps no stale seed alive. Seed must precede the
+// process's first Step.
+func (ch *Checker) Seed(proc, n int) {
+	i, ok := ch.slot[proc]
+	if !ok || ch.found {
+		return
+	}
+	vc := make(vclock.VC, n)
+	vc[proc] = math.MaxInt64
+	ch.seed[i] = vc
+	ch.queue[i] = append(ch.queue[i], vc)
+}
+
+// Step enqueues one event of a process without running the elimination
+// sweep: its timestamp becomes a candidate when truth is set. The checker
+// keeps vc, so the caller must not modify it afterwards. Events of one
+// process must arrive in local order; processes may interleave
+// arbitrarily. Events of processes that are not involved are ignored.
+func (ch *Checker) Step(proc int, vc vclock.VC, truth bool) {
+	i, ok := ch.slot[proc]
+	if !ok || ch.found {
+		return
+	}
+	if s := ch.seed[i]; s != nil {
+		s[proc] = vc[proc] - 1
+		ch.seed[i] = nil
+	}
+	if truth {
+		ch.queue[i] = append(ch.queue[i], vc)
+	}
+}
+
+// Sweep runs the elimination over everything stepped so far and returns
+// whether the predicate has (now or earlier) been detected. One sweep
+// covers any number of Steps, which is how the stream detectors amortise
+// it over a whole mailbox drain.
+func (ch *Checker) Sweep() bool {
+	if !ch.found {
+		ch.sweep()
+	}
+	return ch.found
+}
+
 // Found reports whether the predicate has been detected.
 func (ch *Checker) Found() bool { return ch.found }
 
-// Witness returns the timestamps of the detected true events, one per
-// involved process in the order passed to NewChecker, or nil if not found.
+// Witness returns the timestamps of the detected true states, one per
+// involved process in the order passed to NewChecker, or nil if not
+// found. A seeded initial state whose process had no event yet carries
+// an unbounded own component.
 func (ch *Checker) Witness() []vclock.VC {
 	if !ch.found {
 		return nil
@@ -214,40 +274,13 @@ func (ch *Checker) Witness() []vclock.VC {
 	return out
 }
 
-// Observe feeds the timestamp of a true event of the given process and
-// returns whether the predicate has (now or earlier) been detected.
-// Observations from a process must arrive in that process's local order;
-// observations from different processes may interleave arbitrarily.
+// Observe steps a true event of the given process (keeping a copy of
+// vc), sweeps, and returns whether the predicate has (now or earlier)
+// been detected. Callers that Seed a process must Step its false events
+// too, so Observe alone suits streams of true events only.
 func (ch *Checker) Observe(proc int, vc vclock.VC) bool {
-	if ch.found {
-		return true
-	}
-	i, ok := ch.slot[proc]
-	if !ok {
-		return false // not an involved process
-	}
-	ch.queue[i] = append(ch.queue[i], vc.Clone())
-	ch.sweep()
-	return ch.found
-}
-
-// ObserveBatch feeds a batch of true-event timestamps of one process (in
-// local order) and returns whether the predicate has been detected. The
-// elimination sweep runs once per batch rather than once per event, which
-// is how the streaming engine amortises detector steps.
-func (ch *Checker) ObserveBatch(proc int, vcs []vclock.VC) bool {
-	if ch.found {
-		return true
-	}
-	i, ok := ch.slot[proc]
-	if !ok {
-		return false
-	}
-	for _, vc := range vcs {
-		ch.queue[i] = append(ch.queue[i], vc.Clone())
-	}
-	ch.sweep()
-	return ch.found
+	ch.Step(proc, vc.Clone(), true)
+	return ch.Sweep()
 }
 
 // Involved returns the involved processes in slot order.
@@ -265,7 +298,7 @@ func (ch *Checker) Depths() []int {
 	return out
 }
 
-// Pending returns the total number of queued candidate events.
+// Pending returns the total number of queued candidates.
 func (ch *Checker) Pending() int {
 	n := 0
 	for _, q := range ch.queue {

@@ -194,11 +194,6 @@ func TestCheckerMatchesOffline(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		c := randomComputation(rng, 2+rng.Intn(3), 4)
 		truth := randomTruth(rng, c, 0.4)
-		// Only non-initial events can be streamed by a real monitor;
-		// force initial states false for a fair comparison.
-		for p := range truth {
-			truth[p][0] = false
-		}
 		offline := DetectTables(c, truth)
 
 		procs := make([]int, c.NumProcs())
@@ -206,6 +201,14 @@ func TestCheckerMatchesOffline(t *testing.T) {
 			procs[p] = p
 		}
 		ch := NewChecker(procs)
+		// Initial states are not events: a monitor seeds the processes
+		// whose local predicate holds before their first event.
+		for p := range procs {
+			if truth[p][0] {
+				ch.Seed(p, c.NumProcs())
+			}
+		}
+		found := ch.Sweep()
 		// Replay one random run, maintaining online vector clocks.
 		clocks := make([]*vclock.Clock, c.NumProcs())
 		for p := range clocks {
@@ -214,7 +217,6 @@ func TestCheckerMatchesOffline(t *testing.T) {
 		stampOf := make(map[computation.EventID]vclock.VC)
 		k := c.InitialCut()
 		final := c.FinalCut()
-		found := false
 		for !k.Equal(final) {
 			en := c.Enabled(k)
 			id := en[rng.Intn(len(en))]
@@ -238,12 +240,14 @@ func TestCheckerMatchesOffline(t *testing.T) {
 				stamp = clocks[int(e.Proc)].Event()
 			}
 			stampOf[id] = stamp
-			if truth[int(e.Proc)][e.Index] {
-				if ch.Observe(int(e.Proc), stamp) {
-					found = true
-				}
+			ch.Step(int(e.Proc), stamp, truth[int(e.Proc)][e.Index])
+			if rng.Intn(2) == 0 && ch.Sweep() {
+				found = true
 			}
 			k = c.Execute(k, e.Proc)
+		}
+		if ch.Sweep() {
+			found = true
 		}
 		if found != offline.Found {
 			t.Fatalf("trial %d: online = %v, offline = %v", trial, found, offline.Found)

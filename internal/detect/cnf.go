@@ -18,7 +18,6 @@ func init() {
 	})
 	Register(Entry{
 		Family: pred.CNF, Modality: ModalityDefinitely,
-		Caps:  Caps{NeedsFullTrace: true},
 		Batch: cnfDefinitely,
 	})
 }

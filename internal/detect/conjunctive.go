@@ -1,9 +1,6 @@
 package detect
 
 import (
-	"fmt"
-	"sort"
-
 	"github.com/distributed-predicates/gpd/internal/computation"
 	"github.com/distributed-predicates/gpd/internal/conjunctive"
 	"github.com/distributed-predicates/gpd/internal/obs"
@@ -12,17 +9,14 @@ import (
 )
 
 func init() {
-	caps := Caps{Incremental: true, Sliceable: true, Payload: PayloadTruth}
+	caps := Caps{Incremental: true, Sliceable: true}
 	Register(Entry{
 		Family: pred.Conjunctive, Modality: ModalityPossibly, Caps: caps,
-		Batch: conjPossibly, New: newConjDetector, Linearize: linearizeConj,
-		Slice: conjSlicePossibly,
+		Batch: conjPossibly, New: newConjDetector, Slice: conjSlicePossibly,
 	})
-	caps.NeedsFullTrace = true
 	Register(Entry{
 		Family: pred.Conjunctive, Modality: ModalityDefinitely, Caps: caps,
-		Batch: conjDefinitely, New: newConjDetector, Linearize: linearizeConj,
-		Slice: conjSliceDefinitely,
+		Batch: conjDefinitely, New: newConjDetector, Slice: conjSliceDefinitely,
 	})
 }
 
@@ -55,17 +49,17 @@ func conjDefinitely(c *computation.Computation, s pred.Spec, _ Options, tr *obs.
 }
 
 // conjDetector wraps the token-based online checker (conjunctive.Checker)
-// behind the Detector interface, batching true events per process so one
-// Flush runs one elimination sweep however many events arrived.
+// behind the Detector interface: Step enqueues into the checker, and
+// one Flush runs one elimination sweep however many events arrived.
 type conjDetector struct {
-	involved []int
-	varName  string
 	checker  *conjunctive.Checker
-	pending  map[int][]vclock.VC // per-process true events awaiting a batch
 	possibly bool
 }
 
-func newConjDetector(s pred.Spec, cfg Config) (Detector, error) {
+// newConjDetector seeds the checker with the initial state of every
+// involved process that starts true, so the initial cut (a session's
+// open, or a mux registration cut) counts like any other.
+func newConjDetector(_ pred.Spec, cfg Config) (Detector, error) {
 	involved := cfg.Involved
 	if len(involved) == 0 {
 		involved = make([]int, cfg.Procs)
@@ -73,88 +67,29 @@ func newConjDetector(s pred.Spec, cfg Config) (Detector, error) {
 			involved[i] = i
 		}
 	}
-	return &conjDetector{
-		involved: involved,
-		varName:  s.Var,
-		checker:  conjunctive.NewChecker(involved),
-		pending:  make(map[int][]vclock.VC),
-	}, nil
+	ch := conjunctive.NewChecker(involved)
+	for _, p := range involved {
+		if p < len(cfg.Init) && cfg.Init[p] != 0 {
+			ch.Seed(p, cfg.Procs)
+		}
+	}
+	return &conjDetector{checker: ch, possibly: ch.Sweep()}, nil
 }
 
 func (d *conjDetector) Step(ev Event) error {
-	if ev.Truth {
-		d.pending[ev.Proc] = append(d.pending[ev.Proc], vclock.VC(ev.VC))
-	}
+	d.checker.Step(ev.Proc, vclock.VC(ev.VC), ev.Truth)
 	return nil
 }
 
 func (d *conjDetector) Flush() bool {
-	// Feed the checker in process order: ObserveBatch moves the token
-	// protocol, and the elimination trace (and its work counters) must
-	// not depend on map iteration order.
-	procs := make([]int, 0, len(d.pending))
-	for p := range d.pending {
-		procs = append(procs, p)
-	}
-	sort.Ints(procs)
-	for _, p := range procs {
-		if vcs := d.pending[p]; len(vcs) > 0 {
-			d.checker.ObserveBatch(p, vcs)
-		}
-		delete(d.pending, p)
-	}
-	d.possibly = d.checker.Found()
+	d.possibly = d.checker.Sweep()
 	return d.possibly
 }
 
 func (d *conjDetector) Possibly() bool { return d.possibly }
 
-// Touches bounds the detector's relevance set: only true events of the
-// involved processes can move the token checker, and only the spec's
-// variable carries them.
-func (d *conjDetector) Touches() Relevance {
-	return Relevance{Procs: append([]int(nil), d.involved...), Vars: []string{d.varName}}
-}
-
-func (d *conjDetector) Window() int {
-	n := d.checker.Pending()
-	for _, vcs := range d.pending {
-		n += len(vcs)
-	}
-	return n
-}
+func (d *conjDetector) Window() int { return d.checker.Pending() }
 
 func (d *conjDetector) Snapshot() Snapshot {
 	return Snapshot{Possibly: d.possibly, Window: d.Window()}
-}
-
-// FinalizeDefinitely decides Definitely over the complete computation.
-// Truth follows the online convention — initial states are false — so
-// the verdict matches what the checker saw, for both a transport's
-// rebuilt trace and a replayed offline computation.
-func (d *conjDetector) FinalizeDefinitely(c *computation.Computation, tr *obs.Trace) (bool, error) {
-	locals := make(map[computation.ProcID]conjunctive.LocalPredicate, len(d.involved))
-	truth := truthFn(c, d.varName)
-	for _, p := range d.involved {
-		locals[computation.ProcID(p)] = truth
-	}
-	return conjunctive.DetectDefinitely(c, locals, tr), nil
-}
-
-// linearizeConj replays the 0/1 variable as Truth flags. The online
-// checker has no notion of initial states (they are taken as false), so
-// a computation whose variable starts true on some process cannot be
-// replayed faithfully and is rejected.
-func linearizeConj(c *computation.Computation, s pred.Spec) ([]Event, Config, error) {
-	for p := 0; p < c.NumProcs(); p++ {
-		if c.Var(s.Var, c.Initial(computation.ProcID(p)).ID) != 0 {
-			return nil, Config{}, fmt.Errorf(
-				"detect: replay of %v requires initial states to be false, but %s starts true on process %d",
-				s, s.Var, p)
-		}
-	}
-	events := LinearizeEvents(c, func(e computation.Event, ev *Event) {
-		ev.Truth = c.Var(s.Var, e.ID) != 0
-	})
-	return events, Config{Procs: c.NumProcs()}, nil
 }

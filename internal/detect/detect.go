@@ -11,16 +11,19 @@
 //     for sums and channel occupancy, the sum decomposition for
 //     symmetric predicates, the singular algorithms for CNF), and
 //   - for incremental-capable families, a constructor for the online
-//     Detector plus a Linearize function that replays a sealed
-//     computation as the delivered-event stream an instrumented
-//     application would have produced.
+//     Detector. The family's event payload keys the one linearizer
+//     that replays a sealed computation as the delivered-event stream
+//     an instrumented application would have produced, and Rebuild,
+//     its inverse.
 //
 // A Detector consumes causally delivered events one at a time and
 // latches a Possibly verdict as soon as some consistent cut of the
 // observed prefix satisfies the predicate, in the spirit of Chauhan et
 // al., "A Distributed Abstraction Algorithm for Online Predicate
-// Detection" (arXiv:1304.4326). Detectors that also implement Finalizer
-// can decide the Definitely modality once the stream is complete.
+// Detection" (arXiv:1304.4326). The Definitely modality of a complete
+// stream has one route for every family: Rebuild turns the delivered
+// events back into a sealed computation, and the family's batch
+// Definitely decides on it.
 //
 // Adding a family costs one constructor and one registration (see the
 // per-family files in this package); transports and the public API
@@ -33,6 +36,7 @@ import (
 	"github.com/distributed-predicates/gpd/internal/computation"
 	"github.com/distributed-predicates/gpd/internal/core/singular"
 	"github.com/distributed-predicates/gpd/internal/obs"
+	"github.com/distributed-predicates/gpd/internal/pred"
 )
 
 // Modality selects between the weak and strong interpretation of a
@@ -81,9 +85,11 @@ const (
 	StrategyBatch Strategy = iota + 1
 	// StrategyReplay drives the family's incremental detector over a
 	// causal linearization of the computation — the same state machine
-	// the streaming server runs — and, under ModalityDefinitely, its
-	// close-time finalizer. Available only for incremental-capable
-	// families; cross-checkable against StrategyBatch.
+	// the streaming server runs — and, under ModalityDefinitely, the
+	// same close-time decision: batch Definitely over the computation
+	// rebuilt from the delivered events. Available only for
+	// incremental-capable families; cross-checkable against
+	// StrategyBatch.
 	StrategyReplay
 	// StrategySlice computes the predicate's slice first — the exact
 	// sublattice of satisfying cuts a regular predicate induces (Mittal
@@ -122,8 +128,8 @@ type Event struct {
 	// Var names the variable this event updates. Single-predicate
 	// transports leave it empty (the session's one variable is implied);
 	// multiplexed streams tag every event so the router can step only
-	// the detectors whose relevance set contains the variable. Channel
-	// occupancy deltas are tagged InFlightVar.
+	// the detectors that read the variable. Channel occupancy deltas are
+	// tagged InFlightVar.
 	Var string `json:"var,omitempty"`
 }
 
@@ -148,6 +154,23 @@ const (
 	// tracked quantity (e.g. sends − receives for channel occupancy).
 	PayloadDelta
 )
+
+// payloadOf is the event payload a family's stream carries: the
+// variable's value after the event (sum), the per-event change of
+// channel occupancy (inflight), or the 0/1 variable (all, count, xor,
+// levels).
+func payloadOf(f pred.Family) Payload {
+	switch f {
+	case pred.Sum:
+		return PayloadValue
+	case pred.InFlight:
+		return PayloadDelta
+	case pred.Conjunctive, pred.Count, pred.Xor, pred.Levels:
+		return PayloadTruth
+	default:
+		return PayloadNone
+	}
+}
 
 // Detector is one online predicate detector instance. It consumes the
 // events of a single computation in any causality-respecting order:
@@ -175,50 +198,10 @@ type Detector interface {
 	Snapshot() Snapshot
 }
 
-// Finalizer is implemented by detectors that can decide the Definitely
-// modality once the stream is complete, given the (rebuilt or original)
-// sealed computation. The computation must carry the family's payload
-// as the variable named in the spec the detector was built from.
-type Finalizer interface {
-	FinalizeDefinitely(c *computation.Computation, tr *obs.Trace) (bool, error)
-}
-
 // Traceable is implemented by detectors whose incremental work (closure
 // recomputations, augmenting paths) can be accounted into a trace.
 type Traceable interface {
 	SetTrace(tr *obs.Trace)
-}
-
-// Relevance bounds the events that can affect a detector's verdict: a
-// multiplexing router only steps the detector for events whose process
-// and variable fall inside the sets. A nil Procs or Vars slice means
-// "every process" / "every variable" — the sound, conservative answer.
-type Relevance struct {
-	// Procs lists the processes whose events the detector consumes;
-	// nil means all.
-	Procs []int
-	// Vars lists the variables whose events the detector consumes; nil
-	// means all. Channel-occupancy detectors report InFlightVar.
-	Vars []string
-}
-
-// Toucher is implemented by detectors that can bound their relevance
-// set. The hint must be sound: stepping the detector with only the
-// events inside the set must latch the same verdict as stepping it with
-// every event (routers rely on this to skip the rest).
-type Toucher interface {
-	Touches() Relevance
-}
-
-// TouchesOf returns d's relevance hint, or the conservative
-// touches-everything Relevance for detectors that do not implement
-// Toucher — such detectors are stepped on every event, which is always
-// sound.
-func TouchesOf(d Detector) Relevance {
-	if t, ok := d.(Toucher); ok {
-		return t.Touches()
-	}
-	return Relevance{}
 }
 
 // Snapshot is a detector's current view: the latched verdict, the
@@ -239,29 +222,24 @@ type Config struct {
 	// Procs is the number of processes in the monitored computation.
 	Procs int
 	// Involved lists the processes carrying a local predicate
-	// (conjunctive only); nil means all.
+	// (conjunctive only); nil means all. The other processes read true
+	// in every state.
 	Involved []int
 	// Init gives the initial per-process variable values (PayloadValue:
-	// the variable; PayloadTruth: 0/1). nil means all zero/false.
-	// Ignored by families whose initial states are fixed (conjunctive
-	// takes them as false, inflight starts at occupancy zero).
+	// the variable; PayloadTruth: 0/1, any nonzero value read as true).
+	// nil means all zero/false. The initial cut is a consistent cut like
+	// any other: every family with a value or truth payload reads it,
+	// conjunctions included. Delta payloads take none (channel
+	// occupancy starts at zero).
 	Init []int64
-	// Retain tells the detector the transport keeps the full trace and
-	// may call FinalizeDefinitely at close; detectors that need
-	// per-event state for the finalizer only record it when set.
-	Retain bool
 }
 
 // Caps are a registry entry's capability flags.
 type Caps struct {
 	// Incremental reports whether the family has an online detector
-	// (New and Linearize are set) — the precondition for streaming
-	// sessions and StrategyReplay.
+	// (New is set) — the precondition for streaming sessions and
+	// StrategyReplay.
 	Incremental bool
-	// NeedsFullTrace reports whether the modality needs the complete
-	// computation: the verdict cannot be latched online and is decided
-	// by a close-time Finalizer over the retained trace.
-	NeedsFullTrace bool
 	// Sliceable reports whether the family is regular under this
 	// modality's truth conventions, so detection can go through the
 	// predicate's slice (Entry.Slice is set) — the precondition for
@@ -269,7 +247,7 @@ type Caps struct {
 	// history for the slice frontier.
 	Sliceable bool
 	// Payload declares the Event field the incremental detector
-	// consumes.
+	// consumes; Register sets it from the family.
 	Payload Payload
 }
 

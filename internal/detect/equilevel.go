@@ -23,7 +23,6 @@ func init() {
 	})
 	Register(Entry{
 		Family: pred.Equilevel, Modality: ModalityDefinitely,
-		Caps:  Caps{NeedsFullTrace: true},
 		Batch: equilevelDefinitely,
 	})
 }

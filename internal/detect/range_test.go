@@ -110,10 +110,7 @@ func TestRangeDetectorsMatchDenseRequirements(t *testing.T) {
 				tc.label(seed, c)
 			}
 			name := fmt.Sprintf("%v seed %d", tc.spec.Family, seed)
-			events, cfg, err := entry.Linearize(c, tc.spec)
-			if err != nil {
-				t.Fatalf("%s: linearize: %v", name, err)
-			}
+			events, cfg := linearize(c, tc.spec)
 			det, err := entry.New(tc.spec, cfg)
 			if err != nil {
 				t.Fatalf("%s: new: %v", name, err)
@@ -213,10 +210,7 @@ func TestCountDetectorsAgreeWithBatch(t *testing.T) {
 		}
 		for _, spec := range specs {
 			entry, _ := Lookup(spec.Family, ModalityPossibly)
-			events, cfg, err := entry.Linearize(c, spec)
-			if err != nil {
-				t.Fatal(err)
-			}
+			events, cfg := linearize(c, spec)
 			det, err := entry.New(spec, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -267,10 +261,7 @@ func BenchmarkRangeDetectorGossip(b *testing.B) {
 			spec = pred.Spec{Family: pred.InFlight, Rel: relsum.Ge, K: int64(1 + rng.Intn(4))}
 		}
 		entry, _ := Lookup(spec.Family, ModalityPossibly)
-		events, cfg, err := entry.Linearize(c, spec)
-		if err != nil {
-			b.Fatal(err)
-		}
+		events, cfg := linearize(c, spec)
 		traces = append(traces, trace{entry, spec, events, cfg})
 		total += len(events)
 	}

@@ -22,12 +22,9 @@ type Entry struct {
 	Batch func(c *computation.Computation, s pred.Spec, opt Options, tr *obs.Trace) (Result, error)
 	// New builds the incremental detector (nil unless Caps.Incremental).
 	// The same constructor backs both modalities of a family: Possibly
-	// is latched online, Definitely via the detector's Finalizer.
+	// is latched online, Definitely is decided at close by the batch
+	// route over the rebuilt stream (see Rebuild).
 	New func(s pred.Spec, cfg Config) (Detector, error)
-	// Linearize replays a sealed computation as the delivered-event
-	// stream an instrumented application would have produced, plus the
-	// session configuration matching it (nil unless Caps.Incremental).
-	Linearize func(c *computation.Computation, s pred.Spec) ([]Event, Config, error)
 	// Slice decides the predicate through its computation slice (nil
 	// unless Caps.Sliceable). The route may still reject individual
 	// specs that fall outside the family's regular fragment, with an
@@ -45,7 +42,9 @@ var registry = make(map[regKey]Entry)
 // Register adds an entry to the registry. It panics on a duplicate
 // (family, modality) key or a structurally incomplete entry; families
 // register from init functions, so a bad registration fails fast at
-// program start.
+// program start. An incremental entry's Caps.Payload is set from the
+// family's stream payload, the one the shared linearizer and Rebuild
+// read.
 func Register(e Entry) {
 	key := regKey{e.Family, e.Modality}
 	if _, dup := registry[key]; dup {
@@ -54,8 +53,11 @@ func Register(e Entry) {
 	if e.Batch == nil {
 		panic(fmt.Sprintf("detect: registration for %v/%v has no batch detector", e.Family, e.Modality))
 	}
-	if e.Caps.Incremental && (e.New == nil || e.Linearize == nil) {
-		panic(fmt.Sprintf("detect: incremental registration for %v/%v needs New and Linearize", e.Family, e.Modality))
+	if e.Caps.Incremental {
+		e.Caps.Payload = payloadOf(e.Family)
+		if e.New == nil || e.Caps.Payload == PayloadNone {
+			panic(fmt.Sprintf("detect: incremental registration for %v/%v needs New and a streamed payload", e.Family, e.Modality))
+		}
 	}
 	if e.Caps.Sliceable != (e.Slice != nil) {
 		panic(fmt.Sprintf("detect: registration for %v/%v must set Slice iff Caps.Sliceable", e.Family, e.Modality))
@@ -100,8 +102,10 @@ func Batch(c *computation.Computation, s pred.Spec, m Modality, opt Options, tr 
 // Replay decides the predicate by driving the family's incremental
 // detector over a causal linearization of the sealed computation — the
 // same state machine a streaming session runs, end to end: linearize,
-// step, flush, and (under ModalityDefinitely) the close-time finalizer.
-// It errors for families without an incremental detector.
+// step, flush, and (under ModalityDefinitely) the same close-time
+// decision a retaining session makes: batch Definitely, sequentially,
+// over the computation rebuilt from the delivered events. It errors for
+// families without an incremental detector.
 func Replay(c *computation.Computation, s pred.Spec, m Modality, tr *obs.Trace) (Result, error) {
 	e, ok := Lookup(s.Family, m)
 	if !ok {
@@ -112,11 +116,7 @@ func Replay(c *computation.Computation, s pred.Spec, m Modality, tr *obs.Trace) 
 	}
 	done := tr.Span("replay:" + s.Family.String())
 	defer done()
-	events, cfg, err := e.Linearize(c, s)
-	if err != nil {
-		return Result{}, err
-	}
-	cfg.Retain = m == ModalityDefinitely
+	events, cfg := linearize(c, s)
 	det, err := e.New(s, cfg)
 	if err != nil {
 		return Result{}, err
@@ -134,59 +134,15 @@ func Replay(c *computation.Computation, s pred.Spec, m Modality, tr *obs.Trace) 
 	tr.Add("replay.events", int64(len(events)))
 	res := Result{Holds: snap.Possibly, Min: snap.Min, Max: snap.Max, HasRange: snap.HasRange}
 	if m == ModalityDefinitely {
-		fin, ok := det.(Finalizer)
-		if !ok {
-			return Result{}, fmt.Errorf("detect: %v detector cannot decide definitely", s.Family)
-		}
-		holds, err := fin.FinalizeDefinitely(c, tr)
+		rc, rs, err := Rebuild(events, s, cfg)
 		if err != nil {
 			return Result{}, err
 		}
-		res.Holds = holds
+		def, err := Batch(rc, rs, ModalityDefinitely, Options{Parallelism: 1}, tr)
+		if err != nil {
+			return Result{}, err
+		}
+		res.Holds = def.Holds
 	}
 	return res, nil
-}
-
-// clockToVC converts a sealed computation's timestamp (which counts
-// initial events) to the online vector-clock convention (which has no
-// initial events): component q drops the initial event when present.
-func clockToVC(clk []int32) []int64 {
-	vc := make([]int64, len(clk))
-	for q, v := range clk {
-		if v >= 1 {
-			vc[q] = int64(v) - 1
-		}
-	}
-	return vc
-}
-
-// LinearizeEvents replays the non-initial events of a sealed
-// computation in topological order, filling each event's payload via
-// fill. Detectors re-establish causal order themselves behind a
-// transport's holdback buffer, so any causality-respecting permutation
-// of the result is also a valid stream.
-func LinearizeEvents(c *computation.Computation, fill func(e computation.Event, ev *Event)) []Event {
-	var out []Event
-	for _, id := range c.Topo() {
-		e := c.Event(id)
-		if e.IsInitial() {
-			continue
-		}
-		ev := Event{Proc: int(e.Proc), VC: clockToVC(c.Clock(id))}
-		if fill != nil {
-			fill(e, &ev)
-		}
-		out = append(out, ev)
-	}
-	return out
-}
-
-// truthFn derives a per-event truth function from the named 0/1
-// variable of a computation. Initial states count as false: the online
-// detectors have no initial events, and transports rebuild retained
-// traces under the same convention.
-func truthFn(c *computation.Computation, name string) func(computation.Event) bool {
-	return func(e computation.Event) bool {
-		return !e.IsInitial() && c.Var(name, e.ID) != 0
-	}
 }

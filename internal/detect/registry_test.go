@@ -31,8 +31,8 @@ func TestRegistryShape(t *testing.T) {
 			if e.Caps.Incremental != (e.New != nil) {
 				t.Errorf("%v/%v: Incremental=%v but New=%v", f, m, e.Caps.Incremental, e.New != nil)
 			}
-			if e.Caps.Incremental != (e.Linearize != nil) {
-				t.Errorf("%v/%v: Incremental=%v but Linearize=%v", f, m, e.Caps.Incremental, e.Linearize != nil)
+			if e.Caps.Incremental != (e.Caps.Payload != PayloadNone) {
+				t.Errorf("%v/%v: Incremental=%v but Payload=%v", f, m, e.Caps.Incremental, e.Caps.Payload)
 			}
 		}
 	}
@@ -80,7 +80,7 @@ func TestRegisterRejectsBadEntries(t *testing.T) {
 	ok := Entry{Family: fake, Modality: ModalityPossibly, Batch: stubBatch}
 	Register(ok)
 	mustPanic(t, "duplicate registration", func() { Register(ok) })
-	mustPanic(t, "needs New and Linearize", func() {
+	mustPanic(t, "needs New and a streamed payload", func() {
 		Register(Entry{Family: fake, Modality: ModalityDefinitely, Batch: stubBatch, Caps: Caps{Incremental: true}})
 	})
 }

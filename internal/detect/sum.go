@@ -23,12 +23,11 @@ func init() {
 	for _, f := range []pred.Family{pred.Sum, pred.InFlight, pred.Count, pred.Xor, pred.Levels} {
 		pos := Entry{
 			Family: f, Modality: ModalityPossibly,
-			Caps:  Caps{Incremental: true, Payload: rangePayload(f)},
-			Batch: rangePossibly, New: newSumDetector, Linearize: linearizeRange,
+			Caps:  Caps{Incremental: true},
+			Batch: rangePossibly, New: newSumDetector,
 		}
 		def := pos
 		def.Modality, def.Batch = ModalityDefinitely, rangeDefinitely
-		def.Caps.NeedsFullTrace = true
 		if f == pred.InFlight {
 			// Quiescence (inflight == 0) is the one regular range
 			// predicate; the slice route admits only that spec.
@@ -37,21 +36,6 @@ func init() {
 		}
 		Register(pos)
 		Register(def)
-	}
-}
-
-// rangePayload is the event payload a range family's stream carries:
-// the variable's value after the event (sum), the per-event change of
-// channel occupancy (inflight), or the 0/1 variable (the count-based
-// families).
-func rangePayload(f pred.Family) Payload {
-	switch f {
-	case pred.Sum:
-		return PayloadValue
-	case pred.InFlight:
-		return PayloadDelta
-	default:
-		return PayloadTruth
 	}
 }
 
@@ -138,9 +122,6 @@ type sumDetector struct {
 	// (PayloadValue: the variable; PayloadTruth: 0/1), which value and
 	// truth payloads diff against; delta payloads carry the change.
 	lastVal []int64
-	// weights records per-event changes of delta sessions for the
-	// finalizer (only when Config.Retain).
-	weights map[int64]int64
 
 	possibly bool
 }
@@ -149,7 +130,7 @@ func newSumDetector(s pred.Spec, cfg Config) (Detector, error) {
 	d := &sumDetector{
 		fr:      newFrontier(cfg.Procs),
 		spec:    s,
-		payload: rangePayload(s.Family),
+		payload: payloadOf(s.Family),
 		lastVal: make([]int64, cfg.Procs),
 	}
 	switch d.payload {
@@ -158,9 +139,6 @@ func newSumDetector(s pred.Spec, cfg Config) (Detector, error) {
 		// every event sends or receives at most one message.
 		if len(cfg.Init) > 0 {
 			return nil, fmt.Errorf("detect: inflight detectors take no initial values (occupancy starts at 0)")
-		}
-		if cfg.Retain {
-			d.weights = make(map[int64]int64)
 		}
 	case PayloadTruth:
 		for p, v := range cfg.Init {
@@ -224,9 +202,6 @@ func (d *sumDetector) Step(ev Event) error {
 	id := d.fr.id(p, ev.VC[p])
 	d.tracker.Observe(id, change, d.fr.requires(ev))
 	d.fr.observe(ev)
-	if d.weights != nil {
-		d.weights[id] = change
-	}
 	return nil
 }
 
@@ -243,65 +218,9 @@ func (d *sumDetector) Flush() bool {
 
 func (d *sumDetector) Possibly() bool { return d.possibly }
 
-// Touches bounds the detector's relevance set: the quantity ranges over
-// the named variable's events on every process (channel-occupancy
-// sessions consume the reserved InFlightVar delta stream instead).
-func (d *sumDetector) Touches() Relevance {
-	return Relevance{Vars: []string{d.variable()}}
-}
-
 func (d *sumDetector) Window() int { return d.tracker.Window() }
 
 func (d *sumDetector) Snapshot() Snapshot {
 	min, max := d.tracker.Range()
 	return Snapshot{Possibly: d.possibly, Window: d.tracker.Window(), Min: min, Max: max, HasRange: true}
-}
-
-// FinalizeDefinitely decides Definitely over the complete computation:
-// through the batch route for value and truth sessions (a transport's
-// rebuilt trace carries the variable, initial states included), from
-// the recorded per-event changes for delta sessions (the rebuilt trace
-// has no messages to derive channel occupancy from, so the detector
-// keeps the weights itself when the transport retains the trace).
-func (d *sumDetector) FinalizeDefinitely(c *computation.Computation, tr *obs.Trace) (bool, error) {
-	if d.payload != PayloadDelta {
-		res, err := rangeDefinitely(c, d.spec, Options{Parallelism: 1}, tr)
-		return res.Holds, err
-	}
-	if d.weights == nil {
-		return false, fmt.Errorf("detect: detector did not retain per-event weights (session not opened with retain)")
-	}
-	w := func(e computation.Event) int64 {
-		return d.weights[d.fr.id(int(e.Proc), int64(e.Index))]
-	}
-	return relsum.Definitely(relsum.Weighted(c, 0, w), d.spec.Rel, d.spec.K, 1, tr)
-}
-
-// linearizeRange replays the family's payload: the named variable's
-// value after each event (sum), the named 0/1 variable as Truth flags
-// (count, xor, levels), each with the initial values in the config, or
-// each event's sends − receives (inflight, which has no initial values).
-func linearizeRange(c *computation.Computation, s pred.Spec) ([]Event, Config, error) {
-	cfg := Config{Procs: c.NumProcs()}
-	var fill func(e computation.Event, ev *Event)
-	switch rangePayload(s.Family) {
-	case PayloadDelta:
-		q := relsum.InFlight(c)
-		return LinearizeEvents(c, func(e computation.Event, ev *Event) { ev.Val = q.Weight(e) }), cfg, nil
-	case PayloadTruth:
-		truth := varTruth(c, s.Var)
-		fill = func(e computation.Event, ev *Event) { ev.Truth = truth(e) }
-	default:
-		fill = func(e computation.Event, ev *Event) { ev.Val = c.Var(s.Var, e.ID) }
-	}
-	cfg.Init = make([]int64, c.NumProcs())
-	for p := range cfg.Init {
-		var ev Event // the initial state, read through the same payload
-		fill(c.Initial(computation.ProcID(p)), &ev)
-		cfg.Init[p] = ev.Val
-		if ev.Truth {
-			cfg.Init[p] = 1
-		}
-	}
-	return LinearizeEvents(c, fill), cfg, nil
 }

@@ -18,7 +18,8 @@ type Registration struct {
 	// Spec is the predicate.
 	Spec pred.Spec
 	// Involved restricts a conjunctive predicate to the listed
-	// processes; nil means all.
+	// processes (distinct, each in [0, procs)); nil means all. The
+	// group steps the predicate only on events of these processes.
 	Involved []int
 	// Init gives per-process initial variable values. nil means "seed
 	// from the registration cut": the group fills in the last delivered
@@ -26,10 +27,6 @@ type Registration struct {
 	// detector observes the computation's suffix with the correct
 	// starting state.
 	Init []int64
-	// Retain tells the detector to record per-event state for a
-	// close-time finalizer (all-events registrations of retaining
-	// sessions only).
-	Retain bool
 	// AllEvents steps the detector on every delivered event with the
 	// raw timestamps — the single-predicate session mode. The
 	// registration bypasses the relevance index, is never latch-stopped
@@ -75,7 +72,7 @@ type predicate struct {
 	spec       pred.Spec
 	det        detect.Detector
 	routeVar   string // "" for all-events registrations
-	procSet    []bool // nil = all processes
+	procSet    []bool // the involved processes; nil = all
 	all        bool
 	sliced     bool // holds a reference on the routeVar's shared slicer
 
@@ -161,6 +158,10 @@ func (g *Group) Register(r Registration) error {
 	if err := r.Spec.Validate(g.procs); err != nil {
 		return err
 	}
+	procSet, err := involvedSet(r.Involved, r.Spec.Family, g.procs)
+	if err != nil {
+		return fmt.Errorf("mux: %w", err)
+	}
 	entry, ok := detect.Lookup(r.Spec.Family, detect.ModalityPossibly)
 	if !ok || !entry.Caps.Incremental {
 		return fmt.Errorf("mux: predicate family %v has no incremental detector", r.Spec.Family)
@@ -184,13 +185,12 @@ func (g *Group) Register(r Registration) error {
 		Procs:    g.procs,
 		Involved: r.Involved,
 		Init:     init,
-		Retain:   r.Retain,
 	})
 	if err != nil {
 		return fmt.Errorf("mux: %w", err)
 	}
 	if r.Slice {
-		if err := g.AttachSlicer(routeVar, r.Involved); err != nil {
+		if err := g.AttachSlicer(routeVar, procSet, init); err != nil {
 			return err
 		}
 	}
@@ -208,15 +208,8 @@ func (g *Group) Register(r Registration) error {
 		sliced:   r.Slice,
 		active:   true,
 	}
-	// The relevance hint narrows the process set (conjunctive predicates
-	// over a subset of processes); the variable is taken from the spec.
-	if rel := detect.TouchesOf(det); rel.Procs != nil && !p.all {
-		p.procSet = make([]bool, g.procs)
-		for _, q := range rel.Procs {
-			if q >= 0 && q < g.procs {
-				p.procSet[q] = true
-			}
-		}
+	if !p.all {
+		p.procSet = procSet
 	}
 	g.preds[r.ID] = p
 	g.tenants[tenant]++
@@ -322,7 +315,7 @@ func removePred(list []*predicate, p *predicate) []*predicate {
 // further events cannot change it — this is what keeps the per-event
 // cost proportional to the event's subscribers, not to every predicate
 // ever registered). All-events predicates keep stepping: their session
-// owns the detector for close-time finalizers.
+// reads the detector's window and trace until close.
 func (g *Group) latch(p *predicate) {
 	p.possibly = true
 	p.seq++
@@ -357,7 +350,7 @@ func (g *Group) Step(ev detect.Event) error {
 
 // OnDeliver installs a hook invoked for every causally delivered event,
 // before routing. Transports use it to retain the delivered trace for
-// close-time finalizers.
+// the close-time Definitely decision.
 func (g *Group) OnDeliver(fn func(detect.Event)) { g.onDeliver = fn }
 
 // OnCost installs a hook invoked at every Flush with each stepped
@@ -528,7 +521,7 @@ func (g *Group) States() []Update {
 
 // Detector returns the live detector of a registered predicate (nil
 // once a var-routed predicate has latched or failed — its state is
-// freed). Single-predicate sessions use this for close-time finalizers.
+// freed). Single-predicate sessions use this for tracing and windows.
 func (g *Group) Detector(id string) detect.Detector {
 	if p := g.preds[id]; p != nil {
 		return p.det

@@ -3,6 +3,7 @@ package mux
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/distributed-predicates/gpd/internal/computation"
@@ -236,8 +237,8 @@ func TestMuxAgreesWithOracle(t *testing.T) {
 	}
 }
 
-// TestConjunctiveInvolvedRouting checks the process filter from the
-// relevance hint: events of non-involved processes are skipped, and the
+// TestConjunctiveInvolvedRouting checks the process filter taken from
+// Registration.Involved: events of non-involved processes are skipped, and the
 // verdict matches the conjunction over the involved processes alone.
 func TestConjunctiveInvolvedRouting(t *testing.T) {
 	g := NewGroup(3)
@@ -454,5 +455,39 @@ func TestRejectsNonIncremental(t *testing.T) {
 	}
 	if err := g.Register(Registration{ID: "bad", Spec: pred.Spec{Family: pred.Sum}}); err == nil {
 		t.Fatal("invalid spec accepted")
+	}
+}
+
+// TestRegisterChecksInvolved: an involved-process list is checked where
+// it is used. A non-conjunctive family naming processes, an id out of
+// range and a repeated id are each rejected with an error naming the
+// field, instead of being ignored or silently dropped.
+func TestRegisterChecksInvolved(t *testing.T) {
+	cases := []struct {
+		name     string
+		spec     pred.Spec
+		involved []int
+		want     string
+	}{
+		{"non-conjunctive", pred.Spec{Family: pred.Sum, Var: "x", Rel: relsum.Ge, K: 1}, []int{0}, "involved processes apply only to conjunctive"},
+		{"out of range", pred.Spec{Family: pred.Conjunctive, Var: "x"}, []int{7}, "involved process 7 out of range [0,4)"},
+		{"negative", pred.Spec{Family: pred.Conjunctive, Var: "x"}, []int{0, -1}, "involved process -1 out of range"},
+		{"repeated", pred.Spec{Family: pred.Conjunctive, Var: "x"}, []int{1, 1}, "involved process 1 listed twice"},
+	}
+	for _, tc := range cases {
+		for _, all := range []bool{false, true} {
+			g := NewGroup(4)
+			err := g.Register(Registration{ID: "p", Spec: tc.spec, Involved: tc.involved, AllEvents: all})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s (all events %v): error %v, want one containing %q", tc.name, all, err, tc.want)
+			}
+			if g.Registered() != 0 {
+				t.Errorf("%s (all events %v): rejected registration was kept", tc.name, all)
+			}
+		}
+	}
+	g := NewGroup(4)
+	if err := g.Register(Registration{ID: "p", Spec: pred.Spec{Family: pred.Conjunctive, Var: "x"}, Involved: []int{3, 0}}); err != nil {
+		t.Fatalf("valid involved set rejected: %v", err)
 	}
 }

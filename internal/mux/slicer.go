@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"github.com/distributed-predicates/gpd/internal/detect"
+	"github.com/distributed-predicates/gpd/internal/pred"
 	"github.com/distributed-predicates/gpd/internal/slicing"
 )
 
@@ -23,6 +24,7 @@ type groupSlicer struct {
 	sl       *slicing.IncrementalSlicer
 	routeVar string // "" = every event carries the truth (all-events sessions)
 	involved []bool // nil = every process carries a conjunct
+	initial  []bool // the variable's initial truth per process
 	last     []bool // carried-forward truth per process
 	refs     int    // predicates sharing this slicer
 }
@@ -41,32 +43,34 @@ func (gs *groupSlicer) observe(ev detect.Event) error {
 	return gs.sl.Observe(ev.Proc, ev.VC, truth)
 }
 
-// involvedSet normalizes an involved-process list to a boolean vector;
-// nil (all processes) stays nil.
-func involvedSet(involved []int, procs int) []bool {
+// involvedSet checks a registration's involved-process list and
+// normalizes it to a boolean vector; nil (all processes) stays nil.
+// Only conjunctions read it, so any other family that names processes
+// is rejected rather than silently stepped on all of them.
+func involvedSet(involved []int, f pred.Family, procs int) ([]bool, error) {
 	if len(involved) == 0 {
-		return nil
+		return nil, nil
+	}
+	if f != pred.Conjunctive {
+		return nil, fmt.Errorf("involved processes apply only to conjunctive predicates, not %v", f)
 	}
 	set := make([]bool, procs)
-	all := true
 	for _, p := range involved {
-		if p >= 0 && p < procs {
-			set[p] = true
+		if p < 0 || p >= procs {
+			return nil, fmt.Errorf("involved process %d out of range [0,%d)", p, procs)
 		}
-	}
-	for _, v := range set {
-		if !v {
-			all = false
-			break
+		if set[p] {
+			return nil, fmt.Errorf("involved process %d listed twice", p)
 		}
+		set[p] = true
 	}
-	if all {
-		return nil
+	if len(involved) == procs {
+		return nil, nil
 	}
-	return set
+	return set, nil
 }
 
-func sameInvolved(a, b []bool) bool {
+func sameBools(a, b []bool) bool {
 	if (a == nil) != (b == nil) {
 		return false
 	}
@@ -82,24 +86,29 @@ func sameInvolved(a, b []bool) bool {
 // incremental slicer for one variable. The slicer must see the stream
 // from its start — each process's full local order is what keeps its
 // clocks aligned — so attachment is only legal before any event has
-// arrived. Predicates sharing a variable must agree on the involved
-// set; a second attachment with a different one is rejected rather
-// than silently widened.
-func (g *Group) AttachSlicer(routeVar string, involved []int) error {
+// arrived. involved is the involved-process set (nil = all) and init
+// the initial values (nil = all false); predicates sharing a variable
+// must agree on both, and a second attachment that differs is rejected
+// rather than silently widened.
+func (g *Group) AttachSlicer(routeVar string, involved []bool, init []int64) error {
 	if g.delivery.Delivered() > 0 || g.delivery.Holdback() > 0 {
 		return fmt.Errorf("mux: slicers attach before any events; %d already delivered", g.delivery.Delivered())
 	}
-	inv := involvedSet(involved, g.procs)
+	truth := make([]bool, g.procs) // the variable's initial truth
+	for p := range truth {
+		truth[p] = p < len(init) && init[p] != 0
+	}
 	if gs := g.slicers[routeVar]; gs != nil {
-		if !sameInvolved(gs.involved, inv) {
-			return fmt.Errorf("mux: slicer for variable %q already attached with a different involved set", routeVar)
+		if !sameBools(gs.involved, involved) || !sameBools(gs.initial, truth) {
+			return fmt.Errorf("mux: slicer for variable %q already attached with a different involved set or initial state", routeVar)
 		}
 		gs.refs++
 		return nil
 	}
-	initial := make([]bool, g.procs)
+	initial := make([]bool, g.procs) // the local predicates in the initial state
 	for p := range initial {
-		initial[p] = inv != nil && !inv[p] // uninvolved: vacuously true from the start
+		// Uninvolved processes are vacuously true from the start.
+		initial[p] = truth[p] || (involved != nil && !involved[p])
 	}
 	if g.slicers == nil {
 		g.slicers = make(map[string]*groupSlicer)
@@ -107,8 +116,9 @@ func (g *Group) AttachSlicer(routeVar string, involved []int) error {
 	g.slicers[routeVar] = &groupSlicer{
 		sl:       slicing.NewIncrementalSlicer(g.procs, initial),
 		routeVar: routeVar,
-		involved: inv,
-		last:     make([]bool, g.procs),
+		involved: involved,
+		initial:  truth,
+		last:     append([]bool(nil), truth...),
 		refs:     1,
 	}
 	return nil

@@ -2,6 +2,7 @@ package mux
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"github.com/distributed-predicates/gpd/internal/core/relsum"
@@ -149,6 +150,46 @@ func TestSlicerInvolvedMismatch(t *testing.T) {
 	r2.Involved = []int{1}
 	if err := g.Register(r2); err == nil {
 		t.Fatal("conflicting involved sets accepted on one shared slicer")
+	}
+}
+
+// TestSlicerHonoursInit: a sliced registration's initial values seed
+// both the slice's initial cut and the truth carried forward over other
+// variables' events, and sharers must agree on them.
+func TestSlicerHonoursInit(t *testing.T) {
+	g := NewGroup(2)
+	r := conjReg("a", "x")
+	r.Init = []int64{1, 0}
+	if err := g.Register(r); err != nil {
+		t.Fatal(err)
+	}
+	r2 := conjReg("b", "x")
+	if err := g.Register(r2); err == nil || !strings.Contains(err.Error(), "initial state") {
+		t.Fatalf("conflicting initial states on one shared slicer: error %v", err)
+	}
+	// Process 0 speaks only about y: x stays true there from the start.
+	evs := []detect.Event{
+		{Proc: 0, VC: []int64{1, 0}, Var: "y", Truth: false},
+		{Proc: 1, VC: []int64{1, 1}, Var: "x", Truth: true},
+	}
+	for _, ev := range evs {
+		if err := g.Step(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Flush()
+	if !g.Slicer("x").Possibly() || !g.Possibly("a") {
+		t.Fatalf("slicer %v, detector %v: both must see x true on process 0 after its y-event",
+			g.Slicer("x").Possibly(), g.Possibly("a"))
+	}
+
+	g = NewGroup(2)
+	r.Init = []int64{1, 1}
+	if err := g.Register(r); err != nil {
+		t.Fatal(err)
+	}
+	if !g.Slicer("x").Possibly() || !g.Possibly("a") {
+		t.Fatal("the initial cut satisfies all(x): slicer and detector must both latch at registration")
 	}
 }
 

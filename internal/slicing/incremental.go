@@ -98,9 +98,10 @@ type Span struct {
 
 // NewIncrementalSlicer builds a slicer for a computation of procs
 // processes. initial gives the per-process truth of the local predicate
-// in the initial state (nil means all false, the streaming convention);
-// processes that carry no local predicate should be marked true so they
-// never constrain a cut.
+// in the initial state (nil means all false); processes that carry no
+// local predicate should be marked true so they never constrain a cut.
+// When the initial cut already satisfies the predicate, Possibly
+// reports it before the first event.
 func NewIncrementalSlicer(procs int, initial []bool) *IncrementalSlicer {
 	if procs <= 0 {
 		panic(fmt.Sprintf("slicing: NewIncrementalSlicer needs at least one process, got %d", procs))
@@ -117,6 +118,7 @@ func NewIncrementalSlicer(procs int, initial []bool) *IncrementalSlicer {
 	for p := range s.logs {
 		s.logs[p].jnext = 1
 	}
+	s.pump() // the initial cut may already satisfy the predicate
 	return s
 }
 

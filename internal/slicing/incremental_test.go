@@ -294,3 +294,19 @@ func TestNotRegularErrorNamesWitness(t *testing.T) {
 		t.Fatalf("NotRegularError carries no detail: %v", verr)
 	}
 }
+
+// TestIncrementalSlicerInitialCut: a slicer whose initial cut satisfies
+// the predicate reports Possibly, with the bottom at the initial cut,
+// before any event arrives.
+func TestIncrementalSlicerInitialCut(t *testing.T) {
+	s := NewIncrementalSlicer(2, []bool{true, true})
+	if !s.Possibly() {
+		t.Fatal("initial cut satisfies the predicate, but the slicer did not report it")
+	}
+	if b := s.Bottom(); b[0] != 0 || b[1] != 0 {
+		t.Fatalf("bottom = %v, want the initial cut", b)
+	}
+	if NewIncrementalSlicer(2, []bool{true, false}).Possibly() {
+		t.Fatal("one false process: the initial cut does not satisfy the predicate")
+	}
+}

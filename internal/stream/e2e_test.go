@@ -46,9 +46,6 @@ func makeJobs(t *testing.T, n int) []e2eJob {
 		switch i % 4 {
 		case 0: // conjunctive
 			truth := gen.BoolTables(seed, c, 0.4)
-			for p := range truth {
-				truth[p][0] = false
-			}
 			locals := make(map[computation.ProcID]conjunctive.LocalPredicate)
 			for p := range truth {
 				row := truth[p]
@@ -56,8 +53,9 @@ func makeJobs(t *testing.T, n int) []e2eJob {
 					return e.Index < len(row) && row[e.Index]
 				}
 			}
-			j.spec = Spec{Pred: "all(x)", Procs: np, Retain: true}
-			j.events = TableTrace(c, truth)
+			events, init := TableTrace(c, truth)
+			j.spec = Spec{Pred: "all(x)", Procs: np, Init: init, Retain: true}
+			j.events = events
 			j.wantPos = conjunctive.DetectTables(c, truth).Found
 			j.wantDef = conjunctive.DetectDefinitely(c, locals, nil)
 		case 1: // sum equality

@@ -3,17 +3,11 @@ package stream
 import (
 	"fmt"
 
-	"github.com/distributed-predicates/gpd/internal/computation"
 	"github.com/distributed-predicates/gpd/internal/detect"
 	"github.com/distributed-predicates/gpd/internal/mux"
 	"github.com/distributed-predicates/gpd/internal/obs"
 	"github.com/distributed-predicates/gpd/internal/pred"
 )
-
-// varName is the variable name given to predicates that name none
-// (inflight) when a retained trace is rebuilt into an offline computation
-// at Close.
-const varName = "x"
 
 // sessionPred is the reserved registration id of a single-predicate
 // session's detector inside its multiplexer group.
@@ -29,7 +23,7 @@ const sessionPred = "_session"
 //     all-events registration with exactly the pre-multiplexer
 //     semantics: the detector sees every event under raw timestamps, a
 //     detector error kills the session, and Close can decide Definitely
-//     from the retained trace.
+//     from the retained trace with the family's batch Definitely.
 //   - A multiplexed session (Spec.Mux) starts empty; predicates are
 //     registered and unregistered mid-stream, each stepped only on the
 //     events its relevance set touches, under projected timestamps.
@@ -40,12 +34,11 @@ const sessionPred = "_session"
 // A Session is confined to one goroutine (the engine gives each session
 // to exactly one shard worker); it is not safe for concurrent use.
 type Session struct {
-	spec    Spec
-	mux     bool           // multiplexed session (Spec.Mux)
-	ps      pred.Spec      // canonical predicate (single-predicate sessions)
-	payload detect.Payload // event field the detector consumes (single)
-	group   *mux.Group     // causal delivery + routing, owns the detectors
-	err     error          // sticky failure; the session is dead once set
+	spec  Spec
+	mux   bool       // multiplexed session (Spec.Mux)
+	ps    pred.Spec  // canonical predicate (single-predicate sessions)
+	group *mux.Group // causal delivery + routing, owns the detectors
+	err   error      // sticky failure; the session is dead once set
 
 	retained []Event // full delivered trace when spec.Retain
 	possibly bool    // latched verdict as of the last Flush
@@ -80,14 +73,12 @@ func NewSession(spec Spec) (*Session, error) {
 		return nil, fmt.Errorf("stream: predicate family %v has no incremental detector", ps.Family)
 	}
 	s.ps = ps
-	s.payload = entry.Caps.Payload
 	if err := s.group.Register(mux.Registration{
 		ID:        sessionPred,
 		Tenant:    spec.Tenant,
 		Spec:      ps,
 		Involved:  spec.Involved,
 		Init:      spec.Init,
-		Retain:    spec.Retain,
 		AllEvents: true,
 		Slice:     spec.Slice,
 	}); err != nil {
@@ -137,7 +128,6 @@ func (s *Session) Register(r mux.Registration) error {
 		return s.err
 	}
 	r.AllEvents = false
-	r.Retain = false // multiplexed sessions never decide Definitely
 	return s.group.Register(r)
 }
 
@@ -275,9 +265,10 @@ func (s *Session) RetainedEvents() int {
 
 // Finalize seals the stream: it flushes the detectors, verifies the
 // stream was gapless, and — when a single-predicate spec retained the
-// trace — rebuilds the computation and decides Definitely with the
-// detector's finalizer. The Possibly verdict in the returned Verdict is
-// exact for the complete computation.
+// trace — rebuilds the computation (detect.Rebuild) and decides
+// Definitely with the family's batch route, sequentially. The Possibly
+// verdict in the returned Verdict is exact for the complete
+// computation.
 func (s *Session) Finalize() (Verdict, error) {
 	return s.FinalizeTraced(nil)
 }
@@ -313,22 +304,19 @@ func (s *Session) FinalizeTraced(tr *obs.Trace) (Verdict, error) {
 	if !s.spec.Retain {
 		return v, nil
 	}
-	fin, ok := s.group.Detector(sessionPred).(detect.Finalizer)
-	if !ok {
-		return v, nil // the detector cannot decide Definitely; Possibly stands
-	}
 	doneRebuild := tr.Span("stream.rebuild")
-	c, err := s.buildComputation()
+	cfg := detect.Config{Procs: s.spec.Procs, Involved: s.spec.Involved, Init: s.spec.Init}
+	c, ds, err := detect.Rebuild(s.retained, s.ps, cfg)
 	doneRebuild()
 	if err != nil {
-		return v, s.fail(err)
+		return v, s.fail(fmt.Errorf("stream: %w", err))
 	}
 	tr.Add("stream.rebuilt_events", int64(c.NumEvents()))
-	def, err := fin.FinalizeDefinitely(c, tr)
+	def, err := detect.Batch(c, ds, detect.ModalityDefinitely, detect.Options{Parallelism: 1}, tr)
 	if err != nil {
-		return v, s.fail(err)
+		return v, s.fail(fmt.Errorf("stream: %w", err))
 	}
-	v.Definitely, v.DefinitelyKnown = def, true
+	v.Definitely, v.DefinitelyKnown = def.Holds, true
 	return v, nil
 }
 
@@ -337,12 +325,12 @@ func (s *Session) FinalizeTraced(tr *obs.Trace) (Verdict, error) {
 // final compaction drops everything — the stream is over). The sealed
 // slice decides Definitely in two of three outcomes with no retained
 // trace: an empty slice means no consistent cut ever satisfied the
-// predicate (Definitely false), and a slice whose top is the final cut
-// means the final cut satisfies it — every run ends there (Definitely
-// true). In between, Definitely needs the full trace the session chose
-// not to keep. The slicer's own verdict doubles as a cross-check
-// against the token checker; a mismatch is a detector bug and kills
-// the session rather than ship a wrong answer.
+// predicate (Definitely false), and a slice whose bottom is the initial
+// cut or whose top is the final cut holds a satisfying cut every run
+// passes through (Definitely true). In between, Definitely needs the
+// full trace the session chose not to keep. The slicer's own verdict
+// doubles as a cross-check against the token checker; a mismatch is a
+// detector bug and kills the session rather than ship a wrong answer.
 func (s *Session) finalizeSliced(v Verdict, tr *obs.Trace) (Verdict, error) {
 	sl := s.group.Slicer("")
 	if sl == nil {
@@ -360,78 +348,14 @@ func (s *Session) finalizeSliced(v Verdict, tr *obs.Trace) (Verdict, error) {
 		v.Definitely, v.DefinitelyKnown = false, true
 		return v, nil
 	}
-	top := sl.Top()
-	atFinal := true
+	bottom, top := sl.Bottom(), sl.Top()
+	atInitial, atFinal := true, true
 	for p := 0; p < s.spec.Procs; p++ {
-		if int64(top[p]) != s.group.DeliveredOn(p) {
-			atFinal = false
-			break
-		}
+		atInitial = atInitial && bottom[p] == 0
+		atFinal = atFinal && int64(top[p]) == s.group.DeliveredOn(p)
 	}
-	if atFinal {
+	if atInitial || atFinal {
 		v.Definitely, v.DefinitelyKnown = true, true
 	}
 	return v, nil
-}
-
-// traceVar returns the variable name of the rebuilt computation: the
-// canonical spec's variable, or varName for families that name none
-// (inflight).
-func (s *Session) traceVar() string {
-	if s.ps.Var != "" {
-		return s.ps.Var
-	}
-	return varName
-}
-
-// eventValue maps a delivered event to the rebuilt computation's
-// variable value, following the detector's declared payload.
-func (s *Session) eventValue(ev Event) int64 {
-	if s.payload == detect.PayloadTruth {
-		if ev.Truth {
-			return 1
-		}
-		return 0
-	}
-	return ev.Val // PayloadValue, PayloadDelta
-}
-
-// buildComputation reconstructs the offline computation from the retained
-// trace: one initial event plus the delivered events per process, with
-// order edges derived from the timestamps (for each event and each other
-// process, an edge from the latest event of that process in its causal
-// past — the transitive closure of these is exactly the happened-before
-// relation the timestamps encode). The detector's payload is stored as
-// the canonical spec's variable, uniformly for every family; the
-// finalizer decides what to read from it.
-func (s *Session) buildComputation() (*computation.Computation, error) {
-	name := s.traceVar()
-	c := computation.New()
-	for p := 0; p < s.spec.Procs; p++ {
-		c.AddProcess() // creates the initial event at index 0
-		for i := int64(1); i <= s.group.DeliveredOn(p); i++ {
-			c.AddInternal(computation.ProcID(p))
-		}
-		var init int64
-		if p < len(s.spec.Init) {
-			init = s.spec.Init[p]
-		}
-		c.SetVar(name, c.Initial(computation.ProcID(p)).ID, init)
-	}
-	for _, ev := range s.retained {
-		to := c.EventAt(computation.ProcID(ev.Proc), int(ev.VC[ev.Proc])).ID
-		for q, v := range ev.VC {
-			if q != ev.Proc && v >= 1 {
-				from := c.EventAt(computation.ProcID(q), int(v)).ID
-				if err := c.AddEdge(from, to); err != nil {
-					return nil, fmt.Errorf("stream: rebuild edge: %w", err)
-				}
-			}
-		}
-		c.SetVar(name, to, s.eventValue(ev))
-	}
-	if err := c.Seal(); err != nil {
-		return nil, fmt.Errorf("stream: rebuild: %w", err)
-	}
-	return c, nil
 }

@@ -13,6 +13,9 @@ import (
 	"github.com/distributed-predicates/gpd/internal/pred"
 )
 
+// varName is the variable the tests' predicates read.
+const varName = "x"
+
 // sumEqPred is the grammar string of sum(varName) == k.
 func sumEqPred(k int64) string { return fmt.Sprintf("sum(%s) == %d", varName, k) }
 
@@ -137,9 +140,6 @@ func TestSessionConjunctiveAgreesWithOffline(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomComputation(seed)
 		truth := gen.BoolTables(seed, c, 0.25+rng.Float64()*0.5)
-		for p := range truth {
-			truth[p][0] = false // online sessions take initial states as false
-		}
 		cases = append(cases, conjCase{name: fmt.Sprintf("seed %d", seed), c: c, truth: truth, rng: rng})
 	}
 	for _, tc := range cases {
@@ -157,8 +157,9 @@ func TestSessionConjunctiveAgreesWithOffline(t *testing.T) {
 		}
 		offDef := conjunctive.DetectDefinitely(c, locals, nil)
 
-		spec := Spec{Pred: "all(x)", Procs: c.NumProcs(), Retain: true}
-		v, _ := replay(t, tc.rng, spec, TableTrace(c, truth))
+		events, init := TableTrace(c, truth)
+		spec := Spec{Pred: "all(x)", Procs: c.NumProcs(), Init: init, Retain: true}
+		v, _ := replay(t, tc.rng, spec, events)
 		if v.Possibly != offPos {
 			t.Errorf("%s: Possibly: stream=%v offline=%v", tc.name, v.Possibly, offPos)
 		}

@@ -23,15 +23,12 @@ func TestSlicedSessionAgreesWithRetain(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomComputation(seed)
 		truth := gen.BoolTables(seed, c, 0.25+rng.Float64()*0.5)
-		for p := range truth {
-			truth[p][0] = false // online sessions take initial states as false
-		}
-		events := TableTrace(c, truth)
+		events, init := TableTrace(c, truth)
 
 		ctrl, _ := replay(t, rand.New(rand.NewSource(seed)),
-			Spec{Pred: "all(x)", Procs: c.NumProcs(), Retain: true}, events)
+			Spec{Pred: "all(x)", Procs: c.NumProcs(), Init: init, Retain: true}, events)
 		v, s := replay(t, rand.New(rand.NewSource(seed)),
-			Spec{Pred: "all(x)", Procs: c.NumProcs(), Slice: true}, events)
+			Spec{Pred: "all(x)", Procs: c.NumProcs(), Init: init, Slice: true}, events)
 
 		if v.Possibly != ctrl.Possibly {
 			t.Errorf("seed %d: Possibly: sliced=%v retain=%v", seed, v.Possibly, ctrl.Possibly)
@@ -68,7 +65,8 @@ func TestSlicedSessionDefinitely(t *testing.T) {
 		for p := range truth {
 			truth[p] = []bool{false, truthAt(p, 1), truthAt(p, 2)}
 		}
-		return TableTrace(c, truth), c.NumProcs()
+		evs, _ := TableTrace(c, truth)
+		return evs, c.NumProcs()
 	}
 
 	// Every event true: the final cut satisfies, so every run ends in a

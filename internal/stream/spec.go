@@ -39,13 +39,19 @@ type Spec struct {
 	// Procs is the number of processes in the monitored application.
 	Procs int `json:"procs"`
 	// Involved lists the processes carrying a local predicate
-	// (conjunctive only); nil means all.
+	// (conjunctive only; distinct, each in [0, Procs)); nil means all.
+	// Checked by the session's mux group, the same check register
+	// frames get.
 	Involved []int `json:"involved,omitempty"`
 	// Init gives the initial per-process variable values (sum: the
-	// variable; boolean families: 0/1 truth). nil means all zero/false.
+	// variable; boolean families — all, count, xor, levels: 0/1 truth).
+	// nil means all zero/false. The initial cut counts like any other
+	// consistent cut: a predicate it satisfies latches at open.
+	// Inflight takes none (occupancy starts at 0).
 	Init []int64 `json:"init,omitempty"`
 	// Retain keeps the full delivered trace so Close can also decide the
-	// Definitely modality offline. Costs O(events) memory.
+	// Definitely modality: the family's batch Definitely over the
+	// computation rebuilt from the trace. Costs O(events) memory.
 	Retain bool `json:"retain,omitempty"`
 	// Slice swaps unbounded per-session history for the predicate's
 	// incremental slice: the session maintains the join-irreducibles of
@@ -53,8 +59,8 @@ type Spec struct {
 	// frontier — O(slice) memory however long the stream runs. Regular
 	// truth-payload predicate families only (all(var)); mutually
 	// exclusive with Retain. At close the slice also decides Definitely
-	// when it can: an empty slice is Definitely false, a slice topping
-	// at the final cut is Definitely true.
+	// when it can: an empty slice is Definitely false, a slice bottoming
+	// at the initial cut or topping at the final cut is Definitely true.
 	Slice bool `json:"slice,omitempty"`
 	// MaxWindow bounds retained-window and holdback sizes; a session
 	// exceeding it fails rather than grow without bound (a silent or
@@ -77,9 +83,10 @@ type Spec struct {
 
 // Canonical parses the spec's Pred grammar string into the canonical
 // predicate specification shared with gpd.Detect and gpddetect
-// (internal/pred). Stream-transport fields (Procs, Involved, Init,
-// Retain, MaxWindow) have no counterpart in the canonical spec and are
-// validated separately by Validate.
+// (internal/pred). Stream-transport fields (Procs, Init, Retain,
+// MaxWindow) have no counterpart in the canonical spec and are
+// validated separately by Validate; Involved is checked where it is
+// used, at the mux registration.
 func (sp Spec) Canonical() (pred.Spec, error) {
 	if sp.Pred == "" {
 		return pred.Spec{}, fmt.Errorf(`stream: spec has no "pred"; the numeric "kind" selector was removed, so give the predicate as a grammar string (e.g. "pred":"all(x)")`)
@@ -118,14 +125,6 @@ func (sp Spec) Validate() error {
 	}
 	if err := ps.Validate(sp.Procs); err != nil {
 		return fmt.Errorf("stream: %w", err)
-	}
-	if len(sp.Involved) > 0 && ps.Family != pred.Conjunctive {
-		return fmt.Errorf("stream: involved processes apply only to conjunctive sessions, not %v", ps.Family)
-	}
-	for _, p := range sp.Involved {
-		if p < 0 || p >= sp.Procs {
-			return fmt.Errorf("stream: involved process %d out of range [0,%d)", p, sp.Procs)
-		}
 	}
 	if ps.Family == pred.InFlight && len(sp.Init) > 0 {
 		return fmt.Errorf("stream: inflight sessions take no initial values (occupancy starts at 0)")
@@ -167,10 +166,10 @@ type Verdict struct {
 	// cut; only meaningful when DefinitelyKnown.
 	Definitely bool `json:"definitely,omitempty"`
 	// DefinitelyKnown is set when the session retained the trace and
-	// could run the offline Definitely detector at Close — or when a
-	// sliced session's sealed slice decided it (an empty slice is
-	// Definitely false; a slice topping at the final cut is Definitely
-	// true).
+	// ran the offline Definitely detector at Close — or when a sliced
+	// session's sealed slice decided it (an empty slice is Definitely
+	// false; a slice bottoming at the initial cut or topping at the
+	// final cut is Definitely true).
 	DefinitelyKnown bool `json:"definitely_known,omitempty"`
 	// SliceRetained is the slice frontier size at close (sliced
 	// sessions only): the ceiling of what the session ever had to keep.

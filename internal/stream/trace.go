@@ -52,14 +52,21 @@ func BoolTrace(c *computation.Computation, name string) (events []Event, init []
 }
 
 // TableTrace replays per-process truth tables (the generator/simulator
-// representation) as Truth flags. Initial states are taken as false, so
-// rows' index-0 entries are ignored — matching the online convention that
-// probes report events, not initial states.
-func TableTrace(c *computation.Computation, truth [][]bool) []Event {
-	return Trace(c, func(e computation.Event, ev *Event) {
+// representation, indexed by local event index) as Truth flags. The
+// tables' index-0 entries are the initial states, which are not events:
+// they come back as the 0/1 initial values for the Spec.
+func TableTrace(c *computation.Computation, truth [][]bool) (events []Event, init []int64) {
+	init = make([]int64, c.NumProcs())
+	for p, row := range truth {
+		if len(row) > 0 && row[0] {
+			init[p] = 1
+		}
+	}
+	events = Trace(c, func(e computation.Event, ev *Event) {
 		row := truth[int(e.Proc)]
 		ev.Truth = e.Index < len(row) && row[e.Index]
 	})
+	return events, init
 }
 
 // InFlightTrace replays channel occupancy: each event's Val is its

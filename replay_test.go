@@ -17,28 +17,18 @@ import (
 	"github.com/distributed-predicates/gpd/internal/gen"
 )
 
-// conjComputation is randomComputation with the 0/1 variable forced
-// false on the initial states, the convention the online conjunctive
-// checker requires for a faithful replay.
-func conjComputation(seed int64) *gpd.Computation {
-	c := randomComputation(seed)
-	for p := 0; p < c.NumProcs(); p++ {
-		c.SetVar("x", c.Initial(gpd.ProcID(p)).ID, 0)
-	}
-	return c
-}
-
 func TestReplayBatchAgreementMatrix(t *testing.T) {
 	// One row per (family, predicate, computation shape). The random
-	// computations are message-dense with receives everywhere; the ring
-	// computations have unit-step in-flight weight, which the inflight ==
-	// detector requires.
+	// computations are message-dense with receives everywhere, and their
+	// variables start true on some processes; the ring computations have
+	// unit-step in-flight weight, which the inflight == detector
+	// requires.
 	rows := []struct {
 		family SpecFamilyName
 		preds  []string
 		comp   func(seed int64) *gpd.Computation
 	}{
-		{"conjunctive", []string{"all(x)"}, conjComputation},
+		{"conjunctive", []string{"all(x)"}, randomComputation},
 		{"sum", []string{"sum(u) == 0", "sum(u) == 2", "sum(u) >= 1", "sum(u) < 0", "sum(u) != 0"}, randomComputation},
 		{"count", []string{"count(x) >= 2", "count(x) == 0", "count(x) != 4"}, randomComputation},
 		{"xor", []string{"xor(x)"}, randomComputation},
@@ -51,10 +41,16 @@ func TestReplayBatchAgreementMatrix(t *testing.T) {
 	modalities := []gpd.Modality{gpd.ModalityPossibly, gpd.ModalityDefinitely}
 
 	covered := map[string]bool{}
+	initTrue := 0 // initially-true processes under the conjunctive row
 	for _, row := range rows {
 		covered[string(row.family)] = true
 		for seed := int64(0); seed < 4; seed++ {
 			c := row.comp(seed)
+			for p := 0; row.family == "conjunctive" && p < c.NumProcs(); p++ {
+				if c.Var("x", c.Initial(gpd.ProcID(p)).ID) != 0 {
+					initTrue++
+				}
+			}
 			for _, text := range row.preds {
 				spec, err := gpd.ParseSpec(text)
 				if err != nil {
@@ -89,6 +85,10 @@ func TestReplayBatchAgreementMatrix(t *testing.T) {
 		}
 	}
 
+	if initTrue == 0 {
+		t.Error("no conjunctive computation starts true on any process; the initial-state seeding goes unchecked")
+	}
+
 	// Completeness: every family the registry registers must appear in
 	// the matrix (or be an explicit batch-only exception below), so a
 	// newly added family cannot silently skip the cross-check.
@@ -97,6 +97,50 @@ func TestReplayBatchAgreementMatrix(t *testing.T) {
 		if !covered[f.String()] && !batchOnly[f.String()] {
 			t.Errorf("registered family %v is missing from the agreement matrix", f)
 		}
+	}
+}
+
+// TestReplayConjunctiveInitialStates: the replay route seeds the token
+// checker with the initially-true processes, so on small computations
+// whose flag starts true on some processes replay agrees with batch under
+// both modalities. The test counts the computations whose Possibly
+// verdict hinges on the initial states (it differs once they are forced
+// false) and requires some, so the seeding cannot go unchecked.
+func TestReplayConjunctiveInitialStates(t *testing.T) {
+	spec, err := gpd.ParseSpec("all(x)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hinges := 0
+	for seed := int64(0); seed < 96; seed++ {
+		c := gen.Random(gen.Params{Seed: seed, Procs: 2 + int(seed%3), Events: 3, MsgFrac: 0.8})
+		gen.BoolVar(seed, c, "x", 0.6)
+		for _, m := range []gpd.Modality{gpd.ModalityPossibly, gpd.ModalityDefinitely} {
+			batch, err := gpd.Detect(c, spec, gpd.WithModality(m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			replay, err := gpd.Detect(c, spec, gpd.WithModality(m), gpd.WithStrategy(gpd.StrategyReplay))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if replay.Holds != batch.Holds {
+				t.Errorf("seed %d: %v(all(x)): replay %v, batch %v", seed, m, replay.Holds, batch.Holds)
+			}
+			if m != gpd.ModalityPossibly || !batch.Holds {
+				continue
+			}
+			for p := 0; p < c.NumProcs(); p++ {
+				c.SetVar("x", c.Initial(gpd.ProcID(p)).ID, 0)
+			}
+			if cold, err := gpd.Detect(c, spec); err == nil && !cold.Holds {
+				hinges++
+			}
+			gen.BoolVar(seed, c, "x", 0.6) // restore the initial states
+		}
+	}
+	if hinges == 0 {
+		t.Error("no computation's verdict depends on its initial states")
 	}
 }
 
@@ -124,34 +168,6 @@ func TestReplayRejectsBatchOnlyFamilies(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "no incremental detector") {
 		t.Fatalf("cnf replay: want 'no incremental detector' error, got %v", err)
 	}
-}
-
-// TestReplayRejectsInitialTrueConjunctive: the online conjunctive
-// checker takes initial states as false, so replaying a computation
-// whose variable starts true cannot be faithful and must error.
-func TestReplayRejectsInitialTrueConjunctive(t *testing.T) {
-	for seed := int64(0); seed < 16; seed++ {
-		c := randomComputation(seed)
-		startsTrue := false
-		for p := 0; p < c.NumProcs(); p++ {
-			if c.Var("x", c.Initial(gpd.ProcID(p)).ID) != 0 {
-				startsTrue = true
-			}
-		}
-		if !startsTrue {
-			continue
-		}
-		spec, err := gpd.ParseSpec("all(x)")
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = gpd.Detect(c, spec, gpd.WithStrategy(gpd.StrategyReplay))
-		if err == nil || !strings.Contains(err.Error(), "initial states to be false") {
-			t.Fatalf("seed %d: want initial-state rejection, got %v", seed, err)
-		}
-		return
-	}
-	t.Skip("no seed produced an initial-true variable")
 }
 
 // TestReplayUnitStepViolation: replaying inflight == k over a

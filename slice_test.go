@@ -83,21 +83,16 @@ func TestSliceStrategyAgreement(t *testing.T) {
 		family SpecFamilyName
 		preds  []string
 		comp   func(seed int64) *gpd.Computation
-		// replayable marks rows whose computations the replay route
-		// accepts (conjunctive replay requires initial-false variables;
-		// the token ring starts with tokens already held).
-		replayable bool
 	}{
-		{"conjunctive", []string{"all(x)"}, conjComputation, true},
-		// Initial-true states are fine for slice and batch — the two
-		// routes share the truth convention replay cannot express.
-		{"conjunctive", []string{"all(x)"}, randomComputation, false},
+		// Variables start true on some processes of the random
+		// computations, and the token ring starts with tokens held.
+		{"conjunctive", []string{"all(x)"}, randomComputation},
 		{"conjunctive", []string{"all(tokens)"}, func(seed int64) *gpd.Computation {
 			return ringComputationSeed(t, seed+1)
-		}, false},
+		}},
 		{"inflight", []string{"inflight == 0"}, func(seed int64) *gpd.Computation {
 			return ringComputationSeed(t, seed+1)
-		}, true},
+		}},
 	}
 	modalities := []gpd.Modality{gpd.ModalityPossibly, gpd.ModalityDefinitely}
 
@@ -133,9 +128,6 @@ func TestSliceStrategyAgreement(t *testing.T) {
 							t.Errorf("seed %d: %v(%s): slice witness %v, batch witness %v",
 								seed, m, text, slice.Witness, batch.Witness)
 						}
-					}
-					if !row.replayable {
-						continue
 					}
 					replay, err := gpd.Detect(c, spec, gpd.WithModality(m),
 						gpd.WithStrategy(gpd.StrategyReplay))
@@ -222,7 +214,7 @@ func TestSliceRejectsNonRegularFragment(t *testing.T) {
 // TestSliceReportsWork: the slice route accounts its runs under the
 // slice: span with the slice.* counters.
 func TestSliceReportsWork(t *testing.T) {
-	c := conjComputation(3)
+	c := randomComputation(3)
 	spec, err := gpd.ParseSpec("all(x)")
 	if err != nil {
 		t.Fatal(err)

@@ -358,9 +358,10 @@ func TestStreamSpecMatchesCanonical(t *testing.T) {
 			t.Errorf("stream pred %q renders %q", text, got.String())
 		}
 	}
-	// Family-shape validation is delegated to the canonical spec.
+	// Family-shape validation is delegated to the canonical spec, on the
+	// registration path every open predicate takes.
 	bad := stream.Spec{Pred: "cnf(x): (0 | 5)", Procs: 3}
-	if err := bad.Validate(); err == nil {
+	if _, err := stream.NewSession(bad); err == nil {
 		t.Error("cnf stream spec naming process 5 of 3 must fail validation")
 	}
 	// A spec without a predicate string names the field it lacks.

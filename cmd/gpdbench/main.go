@@ -422,7 +422,7 @@ func ingestOnce(metrics *obs.Registry, events int) (float64, error) {
 		sent += len(evs)
 	}
 	for _, id := range ids { // drain the mailboxes before stopping the clock
-		if _, err := eng.Query(id); err != nil {
+		if _, _, err := eng.QueryUpdates(id); err != nil {
 			return 0, err
 		}
 	}

@@ -9,12 +9,16 @@
 //	gpdserver -shards 8 -queue 512 -batch 128 -policy drop-oldest
 //	gpdserver -max-predicates-per-tenant 1000 -slo-registered 50000
 //
-// Multiplexed sessions (Spec.Mux) carry many registered predicates over
-// one causally ordered stream; -max-predicates-per-tenant caps how many
-// predicates one tenant may hold registered at once, and the stats
-// surface reports per-tenant registration counts (/debug/vars), the
-// mux_registered_predicates{tenant=...} gauges, and the routing economy
-// counters mux_steps_total / mux_steps_skipped_total (/metrics).
+// Every session carries its predicates as registrations over one
+// causally ordered stream: the one an open may name (registration
+// "_session") plus any registered and unregistered mid-stream.
+// -max-predicates-per-tenant caps how many predicates one tenant may
+// hold registered at once across all sessions, open predicates
+// included, and the stats surface reports per-tenant registration
+// counts (/debug/vars), the mux_registered_predicates{tenant=...}
+// gauges, the routing economy counters mux_steps_total /
+// mux_steps_skipped_total, and the registration-to-latch histogram
+// stream_verdict_latency_nanos{tenant=...} (/metrics).
 //
 // The wire protocol is length-prefixed JSON frames (see internal/stream);
 // examples/streamclient is a ready-made load generator and correctness
@@ -76,14 +80,14 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	queue := fs.Int("queue", 256, "per-shard mailbox capacity, in frames")
 	batch := fs.Int("batch", 64, "max frames drained per worker iteration")
 	policy := fs.String("policy", "backpressure", "mailbox overflow policy: backpressure or drop-oldest")
-	maxPreds := fs.Int("max-predicates-per-tenant", 0, "cap on registered predicates per tenant across mux sessions (0: uncapped)")
+	maxPreds := fs.Int("max-predicates-per-tenant", 0, "cap on registered predicates per tenant across all sessions, open predicates included (0: uncapped)")
 	idle := fs.Duration("idle-timeout", 5*time.Minute, "disconnect peers silent for this long (0: never)")
 	write := fs.Duration("write-timeout", 30*time.Second, "per-reply write deadline (0: none)")
 	withPprof := fs.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the -stats listener")
 	logLevel := fs.String("log-level", "info", "log threshold: debug, info, warn or error")
 	logFormat := fs.String("log-format", "text", "log encoding: text or json")
 	flightCap := fs.Int("flight", 4096, "flight-recorder ring capacity in records (0: disabled)")
-	sloVerdict := fs.Duration("slo-verdict-latency", 0, "SLO: max open-to-verdict latency per session (0: off)")
+	sloVerdict := fs.Duration("slo-verdict-latency", 0, "SLO: max registration-to-verdict latency (open predicates: from the open), fires once per session (0: off)")
 	sloHoldback := fs.Int("slo-holdback", 0, "SLO: max per-session holdback depth in events (0: off)")
 	sloMailbox := fs.Int("slo-mailbox", 0, "SLO: max per-shard mailbox backlog in frames (0: off)")
 	sloShed := fs.Uint64("slo-shed", 0, "SLO: max shed frames engine-wide (0: off)")

@@ -60,7 +60,7 @@ func TestRunServesAndShutsDown(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	verdict, err := cl.CloseSession("t")
+	verdict, _, err := cl.ClosePredicates("t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.CloseSession("m"); err != nil {
+	if _, _, err := cl.ClosePredicates("m"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -187,7 +187,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE gpd_stream_frames_total counter",
 		"# TYPE gpd_stream_detections_total counter",
 		"# TYPE gpd_stream_delivery_lag_events histogram",
-		"gpd_stream_finalize_millis_count 1",
+		"gpd_stream_finalize_nanos_count 1",
 		`gpd_stream_finalize_work_total{counter="stream.rebuilt_events"} 4`,
 	} {
 		if !strings.Contains(body, want) {
@@ -302,10 +302,10 @@ func TestTenantsEndpoint(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.CloseSession("a"); err != nil {
+	if _, _, err := cl.ClosePredicates("a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.CloseSession("b"); err != nil {
+	if _, _, err := cl.ClosePredicates("b"); err != nil {
 		t.Fatal(err)
 	}
 

@@ -71,7 +71,7 @@ func run() error {
 	}
 	wg.Wait()
 
-	verdict, err := cl.CloseSession(session)
+	verdict, _, err := cl.ClosePredicates(session)
 	if err != nil {
 		return err
 	}

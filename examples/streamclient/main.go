@@ -448,7 +448,7 @@ func driveSliced(addr string, procs, events int, seed int64) error {
 		}
 		trace = trace[k:]
 	}
-	verdict, err := cl.CloseSession(id)
+	verdict, _, err := cl.ClosePredicates(id)
 	if err != nil {
 		return err
 	}
@@ -505,7 +505,7 @@ func drive(addr string, i, procs, events int, seed int64) error {
 		}
 		trace = trace[n:]
 	}
-	verdict, err := cl.CloseSession(id)
+	verdict, _, err := cl.ClosePredicates(id)
 	if err != nil {
 		return err
 	}

@@ -70,7 +70,7 @@ func newMonitor(t *testing.T, n int, involved []int) (*stream.Engine, []*probe) 
 // before the query runs) and returns its latched verdict.
 func detected(t *testing.T, e *stream.Engine) bool {
 	t.Helper()
-	st, err := e.Query(session)
+	st, _, err := e.QueryUpdates(session)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func detected(t *testing.T, e *stream.Engine) bool {
 // closeVerdict finalizes the session and returns its verdict.
 func closeVerdict(t *testing.T, e *stream.Engine) stream.Verdict {
 	t.Helper()
-	v, err := e.CloseSession(session)
+	v, _, err := e.ClosePredicates(session)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestConcurrentProcessesGoroutines(t *testing.T) {
 	if !detected(t, e) {
 		t.Fatal("conjunction not detected in goroutine run")
 	}
-	st, err := e.Query(session)
+	st, _, err := e.QueryUpdates(session)
 	must(t, err)
 	if st.Delivered != 5*n || st.Holdback != 0 {
 		t.Fatalf("delivered %d events with %d held back, want %d and 0", st.Delivered, st.Holdback, 5*n)

@@ -142,7 +142,7 @@ func TestTCPManyProcessesConcurrently(t *testing.T) {
 	if !detected(t, s.Engine()) {
 		t.Fatal("five concurrent true events not detected")
 	}
-	st, err := s.Engine().Query(session)
+	st, _, err := s.Engine().QueryUpdates(session)
 	must(t, err)
 	if st.Delivered != 3*n {
 		t.Fatalf("delivered %d events, want %d", st.Delivered, 3*n)

@@ -71,8 +71,9 @@ func (d *Delivery) Step(ev detect.Event) error {
 	return d.err
 }
 
-// Fail latches a sticky error from outside (a detector rejected an
-// event); further Steps return it.
+// Fail latches a sticky error from outside (an all-events detector or a
+// slicer rejected a delivered event); delivery stops and further Steps
+// return it.
 func (d *Delivery) Fail(err error) { d.fail(err) }
 
 func (d *Delivery) fail(err error) error {

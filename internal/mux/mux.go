@@ -21,16 +21,17 @@ type Registration struct {
 	// processes (distinct, each in [0, procs)); nil means all. The
 	// group steps the predicate only on events of these processes.
 	Involved []int
-	// Init gives per-process initial variable values. nil means "seed
-	// from the registration cut": the group fills in the last delivered
-	// value of the predicate's variable on each process, so the
-	// detector observes the computation's suffix with the correct
-	// starting state.
+	// Init gives per-process initial variable values, at most one per
+	// process. nil means "seed from the registration cut": the group
+	// fills in the last delivered value of the predicate's variable on
+	// each process, so the detector observes the computation's suffix
+	// with the correct starting state.
 	Init []int64
 	// AllEvents steps the detector on every delivered event with the
-	// raw timestamps — the single-predicate session mode. The
-	// registration bypasses the relevance index, is never latch-stopped
-	// and keeps exact pre-multiplexer session semantics.
+	// raw timestamps — the registration of the predicate a session is
+	// opened with. It bypasses the relevance index, is never
+	// latch-stopped, and a step failure latches the group's sticky error
+	// (Step returns it) instead of failing the predicate alone.
 	AllEvents bool
 	// Slice maintains the predicate's incremental slice alongside its
 	// detector: the group feeds relevance-filtered events into a shared
@@ -117,7 +118,6 @@ type Group struct {
 
 	slicers        map[string]*groupSlicer // shared per-variable slicers (slicer.go)
 	sliceCompacted int64                   // cumulative events freed by compaction
-	sliceErr       error                   // sticky slice-maintenance failure
 
 	tenants   map[string]int
 	reap      []*predicate // deactivated but not yet removed from the indexes
@@ -154,6 +154,9 @@ func (g *Group) Register(r Registration) error {
 	}
 	if _, dup := g.preds[r.ID]; dup {
 		return fmt.Errorf("mux: predicate %q already registered", r.ID)
+	}
+	if len(r.Init) > g.procs {
+		return fmt.Errorf("mux: predicate %q: init has %d values for %d processes", r.ID, len(r.Init), g.procs)
 	}
 	if err := r.Spec.Validate(g.procs); err != nil {
 		return err
@@ -397,11 +400,15 @@ func (g *Group) deliver(ev detect.Event) {
 	g.skipped += int64(g.active - stepped)
 }
 
-// stepPred feeds one event to one predicate's detector.
+// stepPred feeds one event to one predicate's detector. A failing
+// all-events predicate kills the group; any other fails alone.
 func (g *Group) stepPred(p *predicate, ev detect.Event) {
 	p.steps++
 	if err := p.det.Step(ev); err != nil {
 		g.failPred(p, err)
+		if p.all {
+			g.delivery.Fail(fmt.Errorf("mux: predicate %q: %w", p.id, err))
+		}
 		return
 	}
 	if !p.dirty {
@@ -519,24 +526,6 @@ func (g *Group) States() []Update {
 	return out
 }
 
-// Detector returns the live detector of a registered predicate (nil
-// once a var-routed predicate has latched or failed — its state is
-// freed). Single-predicate sessions use this for tracing and windows.
-func (g *Group) Detector(id string) detect.Detector {
-	if p := g.preds[id]; p != nil {
-		return p.det
-	}
-	return nil
-}
-
-// PredicateErr returns a registered predicate's sticky step error.
-func (g *Group) PredicateErr(id string) error {
-	if p := g.preds[id]; p != nil {
-		return p.err
-	}
-	return nil
-}
-
 // Possibly reports a registered predicate's latched verdict.
 func (g *Group) Possibly(id string) bool {
 	if p := g.preds[id]; p != nil {
@@ -545,7 +534,9 @@ func (g *Group) Possibly(id string) bool {
 	return false
 }
 
-// Err returns the delivery's sticky error, if any.
+// Err returns the group's sticky error, if any: a causal-delivery
+// failure, an all-events predicate's step failure, or a slice
+// maintenance failure. Step returns it too.
 func (g *Group) Err() error { return g.delivery.Err() }
 
 // Delivered returns the total number of causally delivered events.

@@ -338,7 +338,7 @@ func TestLatchStopsStepping(t *testing.T) {
 	if g.Active() != 0 || g.Registered() != 1 {
 		t.Fatalf("active=%d registered=%d, want 0/1", g.Active(), g.Registered())
 	}
-	if g.Detector("s") != nil {
+	if g.preds["s"].det != nil {
 		t.Fatal("latched routed detector should be freed")
 	}
 	before := g.Stats().Steps
@@ -416,7 +416,7 @@ func TestPerPredicateFailureIsolated(t *testing.T) {
 		t.Fatalf("group should survive a per-predicate failure: %v", err)
 	}
 	g.Flush()
-	if err := g.PredicateErr("eq"); err == nil {
+	if err := g.preds["eq"].err; err == nil {
 		t.Fatal("eq should carry the unit-step error")
 	}
 	if !g.Possibly("ge") {

@@ -167,7 +167,7 @@ func TestMidStreamRegistrationAgreesWithSuffix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: oracle %v: %v", seed, spec, err)
 			}
-			if err := g.PredicateErr(id); err != nil {
+			if err := g.preds[id].err; err != nil {
 				t.Fatalf("seed %d: %s (%v at cut %v): %v", seed, id, probes[j].reg.Spec, cut, err)
 			}
 			if got := g.Possibly(id); got != rep.Holds {

@@ -139,15 +139,16 @@ func (g *Group) DetachSlicer(routeVar string) {
 
 // observeSlicers feeds one delivered event into every attached slicer.
 // A failed observation (a clock the causal delivery should have made
-// impossible) latches the group's slice error.
+// impossible) latches the group's sticky error.
 func (g *Group) observeSlicers(ev detect.Event) {
-	if g.sliceErr != nil {
-		return
-	}
+	var failed error
 	for _, gs := range g.slicers {
-		if err := gs.observe(ev); err != nil && g.sliceErr == nil {
-			g.sliceErr = fmt.Errorf("mux: slice maintenance: %w", err)
+		if err := gs.observe(ev); err != nil && failed == nil {
+			failed = err
 		}
+	}
+	if failed != nil {
+		g.delivery.Fail(fmt.Errorf("mux: slice maintenance: %w", failed))
 	}
 }
 
@@ -176,9 +177,6 @@ func (g *Group) Slicer(routeVar string) *slicing.IncrementalSlicer {
 	}
 	return nil
 }
-
-// SliceErr returns the sticky slice-maintenance error, if any.
-func (g *Group) SliceErr() error { return g.sliceErr }
 
 // SliceRetained returns the events currently held across all attached
 // slicers — the frontier a sliced session retains instead of history.

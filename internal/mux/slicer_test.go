@@ -43,7 +43,7 @@ func TestSlicerSharedAcrossPredicates(t *testing.T) {
 		}
 	}
 	g.Flush()
-	if err := g.SliceErr(); err != nil {
+	if err := g.Err(); err != nil {
 		t.Fatalf("slice error: %v", err)
 	}
 	if !g.Slicer("x").Possibly() {

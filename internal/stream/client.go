@@ -68,26 +68,9 @@ func (c *Client) Append(id string, events []Event) (bool, error) {
 	return resp.Possibly, err
 }
 
-// Query returns the session's counters after a synchronous flush.
-func (c *Client) Query(id string) (SessionStats, error) {
-	resp, err := c.roundTrip(Request{Type: "query", Session: id})
-	if err != nil {
-		return SessionStats{}, err
-	}
-	if resp.Stats == nil {
-		return SessionStats{}, fmt.Errorf("stream: query reply without stats")
-	}
-	return *resp.Stats, nil
-}
-
-// CloseSession finalizes the session and returns its verdict.
-func (c *Client) CloseSession(id string) (Verdict, error) {
-	v, _, err := c.ClosePredicates(id)
-	return v, err
-}
-
-// ClosePredicates is CloseSession plus the multiplexed fan-out: the
-// final state of every predicate still registered at close.
+// ClosePredicates finalizes the session and returns its verdict plus
+// the fan-out: the final state of every predicate still registered at
+// close, the open one ("_session") included.
 func (c *Client) ClosePredicates(id string) (Verdict, []mux.Update, error) {
 	resp, err := c.roundTrip(Request{Type: "close", Session: id})
 	if err != nil {
@@ -99,7 +82,7 @@ func (c *Client) ClosePredicates(id string) (Verdict, []mux.Update, error) {
 	return *resp.Verdict, resp.Predicates, nil
 }
 
-// RegisterPredicate attaches a predicate to an open multiplexed session.
+// RegisterPredicate attaches a predicate to an open session.
 // The returned updates are any verdicts that latched at the registration
 // cut itself (e.g. a predicate already satisfied by the seeded state).
 func (c *Client) RegisterPredicate(id string, r RegisterSpec) ([]mux.Update, error) {
@@ -110,14 +93,15 @@ func (c *Client) RegisterPredicate(id string, r RegisterSpec) ([]mux.Update, err
 	return resp.Updates, nil
 }
 
-// UnregisterPredicate detaches a predicate from a multiplexed session.
+// UnregisterPredicate detaches a predicate from a session.
 func (c *Client) UnregisterPredicate(id, predID string) error {
 	_, err := c.roundTrip(Request{Type: "unregister", Session: id, Predicate: predID})
 	return err
 }
 
-// QueryUpdates is Query plus the per-predicate verdict updates queued
-// since the previous drain (multiplexed sessions).
+// QueryUpdates returns the session's counters after a synchronous flush
+// plus the per-predicate verdict updates queued since the previous
+// drain.
 func (c *Client) QueryUpdates(id string) (SessionStats, []mux.Update, error) {
 	resp, err := c.roundTrip(Request{Type: "query", Session: id})
 	if err != nil {

@@ -42,10 +42,10 @@ func TestLedgerAttributesCostPerTenant(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.CloseSession("a"); err != nil {
+	if _, _, err := e.ClosePredicates("a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.CloseSession("b"); err != nil {
+	if _, _, err := e.ClosePredicates("b"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -134,7 +134,7 @@ func TestTenantCPUShareSLO(t *testing.T) {
 	}
 	// Queries publish with sampling on, which is where the share check
 	// runs; by now the append has charged CPU to the tenant's scope.
-	if _, err := e.Query("s"); err != nil {
+	if _, _, err := e.QueryUpdates("s"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -221,7 +221,7 @@ func TestCPUProfileCarriesTenantLabels(t *testing.T) {
 		if err := e.Append(id, batch); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.CloseSession(id); err != nil {
+		if _, _, err := e.ClosePredicates(id); err != nil {
 			t.Fatal(err)
 		}
 	}

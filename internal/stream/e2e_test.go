@@ -145,7 +145,7 @@ func TestServe64ConcurrentSessions(t *testing.T) {
 				}
 				evs = evs[n:]
 			}
-			verdict, err := cl.CloseSession(j.id)
+			verdict, _, err := cl.ClosePredicates(j.id)
 			if err != nil {
 				errs <- fmt.Errorf("%s: close: %w", j.id, err)
 				return
@@ -272,7 +272,7 @@ func TestServerIdleTimeout(t *testing.T) {
 	if _, err := cl2.Append("s", []Event{{Proc: 0, VC: []int64{1}, Truth: true}}); err != nil {
 		t.Fatalf("resume session on a new connection: %v", err)
 	}
-	if verdict, err := cl2.CloseSession("s"); err != nil || !verdict.Possibly {
+	if verdict, _, err := cl2.ClosePredicates("s"); err != nil || !verdict.Possibly {
 		t.Fatalf("verdict %+v, err %v", verdict, err)
 	}
 }
@@ -342,7 +342,7 @@ func BenchmarkStreamIngest(b *testing.B) {
 		sent += len(evs)
 	}
 	for _, id := range ids { // drain the mailboxes before stopping the clock
-		if _, err := eng.Query(id); err != nil {
+		if _, _, err := eng.QueryUpdates(id); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,7 +13,6 @@ import (
 
 	"github.com/distributed-predicates/gpd/internal/mux"
 	"github.com/distributed-predicates/gpd/internal/obs"
-	"github.com/distributed-predicates/gpd/internal/pred"
 )
 
 // Engine errors.
@@ -53,8 +52,9 @@ type Config struct {
 	// the flight ring (see SLOConfig).
 	SLO SLOConfig
 	// MaxPredicatesPerTenant caps how many predicates one tenant may hold
-	// registered at once across every multiplexed session of the engine;
-	// Register fails once the cap is reached. 0 means no cap.
+	// registered at once across every session of the engine, counting
+	// each open predicate (Spec.Pred) as one; Open and Register fail once
+	// the cap is reached. 0 means no cap.
 	MaxPredicatesPerTenant int
 	// Ledger, when non-nil, attributes serving cost — per-batch CPU time,
 	// detector steps, delivered events, wire bytes — to (tenant, family)
@@ -86,7 +86,7 @@ func (c Config) withDefaults() Config {
 // acks) reads without locks.
 type handle struct {
 	id     string
-	kind   string // canonical predicate family of the session
+	kind   string // the open predicate's family, "mux" without one
 	tenant string // owning tenant (Spec.Tenant, "default" when unset)
 	shard  int
 
@@ -110,13 +110,14 @@ type handle struct {
 	heldSeq     uint64 // seq that opened the current holdback episode (0 = none)
 	sloHoldback bool   // holdback SLO latched for this session
 	sloRetained bool   // retained-events SLO latched for this session
+	sloVerdict  bool   // verdict-latency SLO latched for this session
 
 	// Worker-confined slice accounting: the previous published values,
 	// for delta-feeding the engine-wide counter and gauge.
 	lastSliceRetained  int64
 	lastSliceCompacted int64
 
-	// Worker-confined multiplexing state: registration times and tenants
+	// Worker-confined registration state: registration times and tenants
 	// for per-tenant verdict latency, undelivered verdict updates, and
 	// the previous step counters for delta-publishing engine totals.
 	regTimes    map[string]time.Time
@@ -130,10 +131,10 @@ type handle struct {
 	holdback   atomic.Int64
 	window     atomic.Int64
 	flushes    atomic.Int64
-	registered atomic.Int64 // mux sessions: predicates registered
-	active     atomic.Int64 // mux sessions: predicates still stepping
-	steps      atomic.Int64 // mux sessions: detector steps taken
-	skipped    atomic.Int64 // mux sessions: detector steps avoided by routing
+	registered atomic.Int64 // predicates registered
+	active     atomic.Int64 // predicates still stepping
+	steps      atomic.Int64 // detector steps taken
+	skipped    atomic.Int64 // detector steps avoided by routing
 	possibly   atomic.Bool
 	errStr     atomic.Value // string
 
@@ -202,8 +203,9 @@ type shard struct {
 }
 
 // Engine is the multi-tenant streaming detector: a pool of shard workers
-// behind bounded mailboxes. Open/Query/CloseSession are synchronous;
-// Append is asynchronous and subject to the overflow policy.
+// behind bounded mailboxes. Open, QueryUpdates, Register, Unregister and
+// ClosePredicates are synchronous; Append is asynchronous and subject to
+// the overflow policy.
 type Engine struct {
 	cfg      Config
 	shards   []*shard
@@ -221,10 +223,10 @@ type Engine struct {
 	sloPredFired atomic.Bool
 	sloCPUFired  sync.Map // tenant -> struct{}: CPU-share rule latched
 
-	// Control-plane predicate accounting: registrations minus
-	// unregistrations minus releases at session close, per tenant.
-	// Guarded by predMu (Register/Unregister/CloseSession are control
-	// traffic, never the ingest hot path).
+	// Control-plane predicate accounting: open predicates plus
+	// registrations, minus unregistrations and releases at session
+	// close, per tenant. Guarded by predMu (Open/Register/Unregister/
+	// ClosePredicates are control traffic, never the ingest hot path).
 	predMu       sync.Mutex
 	tenantCounts map[string]int
 	predTotal    int
@@ -232,8 +234,7 @@ type Engine struct {
 	// Engine-wide registry handles (nil no-ops when metrics are off).
 	mDeliveryLag    *obs.Histogram
 	mHoldback       *obs.Histogram
-	mVerdictLatency *obs.Histogram
-	mFinalizeMillis *obs.Histogram
+	mFinalizeNanos  *obs.Histogram
 	mBreaches       map[string]*obs.Counter // SLO rule -> breach counter
 	mMuxSteps       *obs.Counter
 	mMuxSkipped     *obs.Counter
@@ -243,9 +244,13 @@ type Engine struct {
 	// (the PR-6 name-mangled per-tenant series migrated here; rendered
 	// exposition names are unchanged, so dashboards keep working).
 	vTenantPreds   *obs.GaugeVec     // mux_registered_predicates{tenant=...}
-	vTenantLatency *obs.HistogramVec // mux_verdict_latency_millis{tenant=...}
+	vTenantLatency *obs.HistogramVec // stream_verdict_latency_nanos{tenant=...}
 	vFinalizeWork  *obs.CounterVec   // stream_finalize_work_total{counter=...}
 }
+
+// nanoBuckets are the bounds of the nanosecond duration histograms:
+// doubling from 1µs to about 33s.
+var nanoBuckets = obs.ExpBuckets(int64(time.Microsecond), 26)
 
 // NewEngine starts the shard pool.
 func NewEngine(cfg Config) *Engine {
@@ -254,14 +259,13 @@ func NewEngine(cfg Config) *Engine {
 	m := cfg.Metrics
 	e.mDeliveryLag = m.Histogram("stream_delivery_lag_events", obs.ExpBuckets(1, 12)...)
 	e.mHoldback = m.Histogram("stream_holdback_depth", obs.ExpBuckets(1, 12)...)
-	e.mVerdictLatency = m.Histogram("stream_verdict_latency_millis", obs.ExpBuckets(1, 16)...)
-	e.mFinalizeMillis = m.Histogram("stream_finalize_millis", obs.ExpBuckets(1, 16)...)
+	e.mFinalizeNanos = m.Histogram("stream_finalize_nanos", nanoBuckets...)
 	e.mMuxSteps = m.Counter("mux_steps_total")
 	e.mMuxSkipped = m.Counter("mux_steps_skipped_total")
 	e.mSliceCompacted = m.Counter("slice_compacted_events_total")
 	e.gSliceRetained = m.Gauge("slice_retained_events")
 	e.vTenantPreds = m.GaugeVec("mux_registered_predicates", "tenant")
-	e.vTenantLatency = m.HistogramVec("mux_verdict_latency_millis", obs.ExpBuckets(1, 16), "tenant")
+	e.vTenantLatency = m.HistogramVec("stream_verdict_latency_nanos", nanoBuckets, "tenant")
 	e.vFinalizeWork = m.CounterVec("stream_finalize_work_total", "counter")
 	// Pre-interned so every rule exports an explicit zero before it
 	// first fires (scrapers can always alert on the series).
@@ -433,40 +437,37 @@ func (e *Engine) costEnd(h *handle, t0 time.Time) {
 }
 
 // publish copies a session's state into its handle's atomics and feeds the
-// per-session registry metrics (delivery lag, holdback depth, verdict
-// latency). Runs once per touched session per batch; the lag and holdback
-// histograms are only fed on sampled batches (see run).
+// per-session registry metrics (delivery lag, holdback depth). Runs once
+// per touched session per batch; the lag and holdback histograms are only
+// fed on sampled batches (see run).
 func (e *Engine) publish(sh *shard, h *handle, sample bool) {
 	s := h.sess
-	delivered := s.Delivered()
-	holdback := int64(s.Holdback())
-	h.delivered.Store(delivered)
+	ms := s.MuxStats()
+	holdback := int64(ms.Holdback)
+	h.delivered.Store(ms.Delivered)
 	h.holdback.Store(holdback)
-	h.window.Store(int64(s.Window()))
+	h.window.Store(int64(ms.Window))
 	h.flushes.Store(int64(s.Flushes()))
+	h.registered.Store(int64(ms.Registered))
+	h.active.Store(int64(ms.Active))
+	h.steps.Store(ms.Steps)
+	h.skipped.Store(ms.Skipped)
 	if sample {
-		e.mDeliveryLag.Observe(int64(h.ingested.Load()) - delivered)
+		e.mDeliveryLag.Observe(int64(h.ingested.Load()) - ms.Delivered)
 		e.mHoldback.Observe(holdback)
 	}
 	if err := s.Err(); err != nil {
 		h.errStr.Store(err.Error())
 	}
-	if s.Mux() {
-		ms := s.MuxStats()
-		h.registered.Store(int64(ms.Registered))
-		h.active.Store(int64(ms.Active))
-		h.steps.Store(ms.Steps)
-		h.skipped.Store(ms.Skipped)
-		e.mMuxSteps.Add(ms.Steps - h.lastSteps)
-		e.mMuxSkipped.Add(ms.Skipped - h.lastSkipped)
-		h.lastSteps, h.lastSkipped = ms.Steps, ms.Skipped
-	}
+	e.mMuxSteps.Add(ms.Steps - h.lastSteps)
+	e.mMuxSkipped.Add(ms.Skipped - h.lastSkipped)
+	h.lastSteps, h.lastSkipped = ms.Steps, ms.Skipped
 	// Slice accounting: publish the frontier and feed the engine-wide
 	// series by delta, so the gauge is the live sum of every session's
-	// retained frontier and the counter is total history freed. Both
-	// reads are O(attached slicers) — zero for unsliced sessions.
-	sr := int64(s.SliceRetained())
-	if sc := s.SliceCompacted(); sr != h.lastSliceRetained || sc != h.lastSliceCompacted {
+	// retained frontier and the counter is total history freed. The
+	// frontier read is O(attached slicers) — zero for unsliced sessions.
+	sr, sc := int64(ms.SliceRetained), ms.SliceCompacted
+	if sr != h.lastSliceRetained || sc != h.lastSliceCompacted {
 		h.sliceRetained.Store(sr)
 		h.sliceCompacted.Store(sc)
 		e.gSliceRetained.Add(sr - h.lastSliceRetained)
@@ -492,16 +493,10 @@ func (e *Engine) publish(sh *shard, h *handle, sample bool) {
 		h.possibly.Store(true)
 		sh.detections.Add(1)
 		sh.mDetections.Inc()
-		latency := time.Since(h.opened)
-		e.mVerdictLatency.Observe(latency.Milliseconds())
 		e.flight.Record(obs.FlightRecord{
 			Seq: h.lastSeq, Session: h.id, Shard: sh.idx, Proc: -1,
-			Stage: obs.StageVerdict, Detail: "possibly latched after " + latency.String(),
+			Stage: obs.StageVerdict, Detail: "possibly latched after " + time.Since(h.opened).String(),
 		})
-		if max := e.cfg.SLO.VerdictLatency; max > 0 && latency > max {
-			e.breach(SLOVerdictLatency, h.id+": verdict latency "+
-				latency.String()+" > "+max.String())
-		}
 	}
 }
 
@@ -520,21 +515,18 @@ func (e *Engine) apply(sh *shard, m shardMsg, touched map[string]*handle) {
 			m.reply <- shardReply{err: err}
 			return
 		}
-		tenant := m.spec.Tenant
-		if tenant == "" {
-			tenant = "default"
-		}
-		h := &handle{id: m.session, kind: sess.KindLabel(), tenant: tenant, shard: sh.idx, sess: sess, opened: time.Now()}
-		if sess.Mux() {
-			h.regTimes = make(map[string]time.Time)
-			h.regTenants = make(map[string]string)
+		tenant := tenantOf(m.spec.Tenant)
+		now := time.Now()
+		h := &handle{id: m.session, kind: sess.KindLabel(), tenant: tenant, shard: sh.idx, sess: sess, opened: now,
+			// The open predicate, if any, is timed from the open.
+			regTimes:   map[string]time.Time{sessionPred: now},
+			regTenants: make(map[string]string),
 		}
 		h.scope = e.ledger.Scope(tenant, h.kind)
 		if e.ledger != nil {
-			// Steps flow through the mux cost hook so multiplexed
-			// sessions attribute to each registration's own tenant and
-			// family; the session's built-in all-events predicate maps
-			// back to the session id.
+			// Steps flow through the mux cost hook so every
+			// registration attributes to its own tenant and family; the
+			// open predicate's reserved id maps back to the session id.
 			id := m.session
 			sess.OnCost(func(tenant, family, pid string, steps int64) {
 				e.ledger.Scope(tenant, family).AddSteps(steps)
@@ -552,7 +544,8 @@ func (e *Engine) apply(sh *shard, m shardMsg, touched map[string]*handle) {
 		e.registry.Store(m.session, h)
 		sh.gauge.Add(1)
 		sh.mSessions.Add(1)
-		e.publish(sh, h, true) // a satisfied initial cut latches immediately
+		e.drainUpdates(sh, h) // a satisfied initial cut latches immediately
+		e.publish(sh, h, true)
 		m.reply <- shardReply{}
 	case msgAppend:
 		h, exists := sh.sessions[m.session]
@@ -595,23 +588,12 @@ func (e *Engine) apply(sh *shard, m shardMsg, touched map[string]*handle) {
 			m.reply <- shardReply{err: fmt.Errorf("%w: %q", ErrUnknownSession, m.session)}
 			return
 		}
-		ps, err := pred.Parse(m.reg.Pred)
+		tenant := tenantOf(m.reg.Tenant)
+		reg, err := m.reg.registration()
+		if err == nil {
+			err = h.sess.Register(reg)
+		}
 		if err != nil {
-			m.reply <- shardReply{err: fmt.Errorf("stream: %w", err)}
-			return
-		}
-		tenant := m.reg.Tenant
-		if tenant == "" {
-			tenant = "default"
-		}
-		if err := h.sess.Register(mux.Registration{
-			ID:       m.reg.ID,
-			Tenant:   tenant,
-			Spec:     ps,
-			Involved: m.reg.Involved,
-			Init:     m.reg.Init,
-			Slice:    m.reg.Slice,
-		}); err != nil {
 			m.reply <- shardReply{err: err}
 			return
 		}
@@ -636,10 +618,7 @@ func (e *Engine) apply(sh *shard, m shardMsg, touched map[string]*handle) {
 			m.reply <- shardReply{err: err}
 			return
 		}
-		tenant := h.regTenants[m.pred]
-		if tenant == "" {
-			tenant = "default"
-		}
+		tenant := tenantOf(h.regTenants[m.pred])
 		delete(h.regTimes, m.pred)
 		delete(h.regTenants, m.pred)
 		e.publish(sh, h, true)
@@ -658,7 +637,7 @@ func (e *Engine) apply(sh *shard, m shardMsg, touched map[string]*handle) {
 		var verdict Verdict
 		var err error
 		e.withLabels(sh, h, func() { verdict, err = h.sess.FinalizeTraced(tr) })
-		e.mFinalizeMillis.Observe(time.Since(start).Milliseconds())
+		e.mFinalizeNanos.Observe(time.Since(start).Nanoseconds())
 		if e.ledger != nil {
 			// The close-time Definitely rebuild is the engine's most
 			// expensive batch entry point; charge it like any batch.
@@ -666,12 +645,8 @@ func (e *Engine) apply(sh *shard, m shardMsg, touched map[string]*handle) {
 		}
 		e.foldFinalizeWork(tr)
 		e.drainUpdates(sh, h)
-		var preds []mux.Update
-		var tenants map[string]int
-		if h.sess.Mux() {
-			preds = h.sess.PredicateStates()
-			tenants = h.sess.Tenants()
-		}
+		preds := h.sess.PredicateStates()
+		tenants := h.sess.Tenants()
 		e.publish(sh, h, true)
 		delete(sh.sessions, m.session)
 		e.registry.Delete(m.session)
@@ -688,14 +663,16 @@ func (e *Engine) apply(sh *shard, m shardMsg, touched map[string]*handle) {
 	}
 }
 
-// drainUpdates moves a multiplexed session's freshly queued per-predicate
-// verdict updates into the handle's pending list (delivered by the next
-// query or register reply), leaving a flight record per update and a
-// per-tenant verdict-latency observation per latch. Worker-confined.
-// Session-level detection counters are bumped by publish (once per
-// session); per-predicate latches are visible in mux stats and updates.
+// drainUpdates moves a session's freshly queued per-predicate verdict
+// updates into the handle's pending list (delivered by the next query or
+// register reply), leaving a flight record per update and, per latch, a
+// per-tenant verdict-latency observation (registration to latch; the
+// open predicate counts from the open) that the verdict-latency SLO
+// reads too. Worker-confined. Session-level detection counters are
+// bumped by publish (once per session); per-predicate latches are
+// visible in mux stats and updates.
 func (e *Engine) drainUpdates(sh *shard, h *handle) {
-	if h.sess == nil || !h.sess.Mux() {
+	if h.sess == nil {
 		return
 	}
 	ups := h.sess.Updates()
@@ -710,7 +687,13 @@ func (e *Engine) drainUpdates(sh *shard, h *handle) {
 		})
 		if u.Err == "" && u.Possibly {
 			if t0, ok := h.regTimes[u.ID]; ok {
-				e.tenantVerdictLatency(u.Tenant).Observe(time.Since(t0).Milliseconds())
+				latency := time.Since(t0)
+				e.vTenantLatency.With(u.Tenant).Observe(latency.Nanoseconds())
+				if max := e.cfg.SLO.VerdictLatency; max > 0 && latency > max && !h.sloVerdict {
+					h.sloVerdict = true
+					e.breach(SLOVerdictLatency, h.id+"/"+u.ID+": verdict latency "+
+						latency.String()+" > "+max.String())
+				}
 			}
 		}
 		delete(h.regTimes, u.ID)
@@ -782,13 +765,26 @@ func (e *Engine) sync(id string, m shardMsg) (shardReply, error) {
 	return <-m.reply, nil
 }
 
-// Open creates a session.
+// Open creates a session. An open predicate (Spec.Pred) is registered
+// inside the open and holds one slot of the session tenant's cap
+// (Config.MaxPredicatesPerTenant) until close.
 func (e *Engine) Open(id string, spec Spec) error {
-	r, err := e.sync(id, shardMsg{kind: msgOpen, spec: spec})
-	if err != nil {
-		return err
+	tenant := tenantOf(spec.Tenant)
+	slots := 0
+	if spec.Pred != "" {
+		if err := e.reserveTenant(tenant); err != nil {
+			return err
+		}
+		slots = 1
 	}
-	return r.err
+	r, err := e.sync(id, shardMsg{kind: msgOpen, spec: spec})
+	if err == nil {
+		err = r.err
+	}
+	if err != nil {
+		e.releaseTenant(tenant, slots)
+	}
+	return err
 }
 
 // Append enqueues events for a session. It is asynchronous: delivery and
@@ -823,16 +819,9 @@ func (e *Engine) Append(id string, events []Event) error {
 	return nil
 }
 
-// Query flushes a session and returns its counters. On a multiplexed
-// session any pending verdict updates are discarded — use QueryUpdates
-// there.
-func (e *Engine) Query(id string) (SessionStats, error) {
-	st, _, err := e.QueryUpdates(id)
-	return st, err
-}
-
-// QueryUpdates is Query plus the multiplexed fan-out: the per-predicate
-// verdict updates queued since the previous drain.
+// QueryUpdates flushes a session and returns its counters plus the
+// fan-out: the per-predicate verdict updates queued since the previous
+// drain.
 func (e *Engine) QueryUpdates(id string) (SessionStats, []mux.Update, error) {
 	r, err := e.sync(id, shardMsg{kind: msgQuery})
 	if err != nil {
@@ -841,15 +830,11 @@ func (e *Engine) QueryUpdates(id string) (SessionStats, []mux.Update, error) {
 	return r.stats, r.updates, r.err
 }
 
-// Register attaches a predicate to an open multiplexed session, counted
-// against the owning tenant's cap (Config.MaxPredicatesPerTenant). The
-// returned updates are any verdicts that latched at the registration cut
-// itself.
+// Register attaches a predicate to an open session, counted against the
+// owning tenant's cap (Config.MaxPredicatesPerTenant). The returned
+// updates are any verdicts that latched at the registration cut itself.
 func (e *Engine) Register(session string, r RegisterSpec) ([]mux.Update, error) {
-	tenant := r.Tenant
-	if tenant == "" {
-		tenant = "default"
-	}
+	tenant := tenantOf(r.Tenant)
 	if err := e.reserveTenant(tenant); err != nil {
 		return nil, err
 	}
@@ -864,8 +849,8 @@ func (e *Engine) Register(session string, r RegisterSpec) ([]mux.Update, error) 
 	return rep.updates, nil
 }
 
-// Unregister detaches a predicate from a multiplexed session, returning
-// its slot to the owning tenant.
+// Unregister detaches a predicate from a session, returning its slot to
+// the owning tenant. The open predicate ("_session") stays until close.
 func (e *Engine) Unregister(session, predID string) error {
 	rep, err := e.sync(session, shardMsg{kind: msgUnregister, pred: predID})
 	if err == nil {
@@ -891,16 +876,10 @@ func releaseTenants(e *Engine, tenants map[string]int) {
 	}
 }
 
-// CloseSession finalizes a session and returns its verdict (including
-// Definitely when the spec retained the trace). A multiplexed session's
-// remaining registrations are returned to their tenants.
-func (e *Engine) CloseSession(id string) (Verdict, error) {
-	v, _, err := e.ClosePredicates(id)
-	return v, err
-}
-
-// ClosePredicates is CloseSession plus the multiplexed fan-out: the
-// final state of every still-registered predicate.
+// ClosePredicates finalizes a session and returns its verdict
+// (including Definitely of the open predicate when the spec retained the
+// trace or sliced) plus the fan-out: the final state of every
+// still-registered predicate. Their slots return to their tenants.
 func (e *Engine) ClosePredicates(id string) (Verdict, []mux.Update, error) {
 	r, err := e.sync(id, shardMsg{kind: msgClose})
 	if err != nil {
@@ -952,10 +931,12 @@ func (e *Engine) tenantGauge(tenant string) *obs.Gauge {
 	return e.vTenantPreds.With(tenant)
 }
 
-// tenantVerdictLatency returns the tenant's register→latch latency
-// histogram.
-func (e *Engine) tenantVerdictLatency(tenant string) *obs.Histogram {
-	return e.vTenantLatency.With(tenant)
+// tenantOf names the tenant of a spec field: "" means "default".
+func tenantOf(tenant string) string {
+	if tenant == "" {
+		return "default"
+	}
+	return tenant
 }
 
 // AttributeBytes charges wire traffic to a session's (tenant, family)

@@ -6,135 +6,110 @@ import (
 	"github.com/distributed-predicates/gpd/internal/detect"
 	"github.com/distributed-predicates/gpd/internal/mux"
 	"github.com/distributed-predicates/gpd/internal/obs"
-	"github.com/distributed-predicates/gpd/internal/pred"
 )
 
-// sessionPred is the reserved registration id of a single-predicate
-// session's detector inside its multiplexer group.
+// sessionPred is the reserved registration id of the predicate a
+// session is opened with (Spec.Pred). Register frames may not use it.
 const sessionPred = "_session"
 
 // Session is one monitored application instance: it ingests that
-// application's timestamped events, re-establishes causal order, and
-// runs incremental detectors resolved from the detector registry. Every
-// session is backed by a mux.Group — causal delivery happens once, and
-// detectors attach to it:
+// application's timestamped events, re-establishes causal order once in
+// a mux.Group, and steps the detectors registered on that group. Every
+// session has the same shape:
 //
-//   - A single-predicate session (Spec.Pred) carries one
-//     all-events registration with exactly the pre-multiplexer
-//     semantics: the detector sees every event under raw timestamps, a
-//     detector error kills the session, and Close can decide Definitely
-//     from the retained trace with the family's batch Definitely.
-//   - A multiplexed session (Spec.Mux) starts empty; predicates are
-//     registered and unregistered mid-stream, each stepped only on the
-//     events its relevance set touches, under projected timestamps.
-//     Events must tag the variable they update (Event.Var). Possibly
-//     reports whether ANY registered predicate has latched; per-
-//     predicate verdicts fan out as sequence-numbered updates.
+//   - Each predicate is a registration. An open with Spec.Pred is an
+//     open plus one all-events registration with id "_session": its
+//     detector sees every event under raw timestamps, and its failure
+//     fails the session. Predicates registered later are stepped only
+//     on the events their relevance set touches, under projected
+//     timestamps (events must tag the variable they update, Event.Var),
+//     and a failure fails only that predicate's update stream.
+//   - Possibly reports whether ANY registration has latched; the
+//     per-registration verdicts fan out as sequence-numbered updates.
+//   - Close decides Definitely for the open predicate: from its slice
+//     (Spec.Slice) or from the retained trace (Spec.Retain).
 //
 // A Session is confined to one goroutine (the engine gives each session
 // to exactly one shard worker); it is not safe for concurrent use.
 type Session struct {
 	spec  Spec
-	mux   bool       // multiplexed session (Spec.Mux)
-	ps    pred.Spec  // canonical predicate (single-predicate sessions)
+	kind  string     // stats label: the open predicate's family, "mux" without one
 	group *mux.Group // causal delivery + routing, owns the detectors
 	err   error      // sticky failure; the session is dead once set
 
 	retained []Event // full delivered trace when spec.Retain
-	possibly bool    // latched verdict as of the last Flush
+	possibly bool    // latched verdict as of the last Flush or registration
 	flushes  int
 }
 
-// NewSession validates the spec and builds the session. For
-// single-predicate specs the family's incremental detector is resolved
-// from the registry; families without one (cnf) are rejected — they
-// need the sealed computation and cannot stream.
+// NewSession validates the spec and builds the session. An open
+// predicate (Spec.Pred) is registered through the same path a register
+// frame takes; families without an incremental detector (cnf) are
+// rejected there — they need the sealed computation and cannot stream.
 func NewSession(spec Spec) (*Session, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	s := &Session{
 		spec:  spec,
+		kind:  "mux",
 		group: mux.NewGroup(spec.Procs),
 	}
 	if spec.Retain {
 		s.group.OnDeliver(func(ev Event) { s.retained = append(s.retained, ev) })
 	}
-	if spec.Mux {
-		s.mux = true
+	if spec.Pred == "" {
 		return s, nil
 	}
-	ps, err := spec.Canonical()
+	r, err := RegisterSpec{ID: sessionPred, Tenant: spec.Tenant, Pred: spec.Pred,
+		Involved: spec.Involved, Init: spec.Init, Slice: spec.Slice}.registration()
 	if err != nil {
 		return nil, err
 	}
-	entry, ok := detect.Lookup(ps.Family, detect.ModalityPossibly)
-	if !ok || !entry.Caps.Incremental {
-		return nil, fmt.Errorf("stream: predicate family %v has no incremental detector", ps.Family)
-	}
-	s.ps = ps
-	if err := s.group.Register(mux.Registration{
-		ID:        sessionPred,
-		Tenant:    spec.Tenant,
-		Spec:      ps,
-		Involved:  spec.Involved,
-		Init:      spec.Init,
-		AllEvents: true,
-		Slice:     spec.Slice,
-	}); err != nil {
+	r.AllEvents = true
+	if err := s.register(r); err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
-	s.possibly = s.group.Possibly(sessionPred) // a satisfied initial cut latches immediately
+	s.kind = r.Spec.Family.String()
 	return s, nil
 }
 
-// Family returns the canonical predicate family of a single-predicate
-// session (zero for multiplexed sessions; see KindLabel).
-func (s *Session) Family() pred.Family { return s.ps.Family }
+// KindLabel names the session for stats surfaces: the family of the
+// open predicate, "mux" for a session opened without one.
+func (s *Session) KindLabel() string { return s.kind }
 
-// KindLabel names the session for stats surfaces: the predicate family
-// of a single-predicate session, "mux" for a multiplexed one.
-func (s *Session) KindLabel() string {
-	if s.mux {
-		return "mux"
-	}
-	return s.ps.Family.String()
-}
-
-// Mux reports whether the session is multiplexed.
-func (s *Session) Mux() bool { return s.mux }
-
-// SetTrace routes the session's incremental-detector work counters
-// (closure recomputations of the sum-family trackers) into the given
-// trace. A nil trace disables accounting; multiplexed sessions are not
-// traced. Finalize work is accounted separately via FinalizeTraced.
-func (s *Session) SetTrace(tr *obs.Trace) {
-	if s.mux {
-		return
-	}
-	if t, ok := s.group.Detector(sessionPred).(detect.Traceable); ok {
-		t.SetTrace(tr)
-	}
-}
-
-// Register attaches a predicate to a multiplexed session. The predicate
-// observes the stream from the registration cut onward; its variable is
-// seeded with the last delivered values unless Init is given.
+// Register attaches a predicate to the session. The predicate observes
+// the stream from the registration cut onward; its variable is seeded
+// with the last delivered values unless Init is given. The id
+// "_session" is reserved for the open predicate.
 func (s *Session) Register(r mux.Registration) error {
-	if !s.mux {
-		return fmt.Errorf("stream: session is not multiplexed; open it with mux")
-	}
 	if s.err != nil {
 		return s.err
 	}
+	if r.ID == sessionPred {
+		return fmt.Errorf("stream: predicate id %q is reserved for the predicate the session was opened with", r.ID)
+	}
 	r.AllEvents = false
-	return s.group.Register(r)
+	return s.register(r)
 }
 
-// Unregister detaches a predicate from a multiplexed session.
+// register attaches a registration to the group; a satisfied
+// registration cut latches the session verdict immediately.
+func (s *Session) register(r mux.Registration) error {
+	if err := s.group.Register(r); err != nil {
+		return err
+	}
+	if s.group.Possibly(r.ID) {
+		s.possibly = true
+	}
+	return nil
+}
+
+// Unregister detaches a registered predicate. The open predicate stays
+// until close.
 func (s *Session) Unregister(id string) error {
-	if !s.mux {
-		return fmt.Errorf("stream: session is not multiplexed; open it with mux")
+	if id == sessionPred {
+		return fmt.Errorf("stream: predicate %q is the predicate the session was opened with; close the session instead", id)
 	}
 	return s.group.Unregister(id)
 }
@@ -163,8 +138,10 @@ func (s *Session) Tenants() map[string]int { return s.group.Tenants() }
 // Step ingests one event. Events of one process must arrive in local
 // order; arbitrary interleaving (even causal reordering) across processes
 // is handled by the holdback buffer. Returns the session's sticky error,
-// if any. In a multiplexed session a single detector's failure is NOT a
-// session error — it surfaces in that predicate's update stream.
+// if any: the group's (delivery, the open predicate's detector, slice
+// maintenance) or a MaxWindow breach. A registered predicate's failure
+// is not a session error — it surfaces in that predicate's update
+// stream.
 //
 //lint:hotpath
 func (s *Session) Step(ev Event) error {
@@ -174,23 +151,15 @@ func (s *Session) Step(ev Event) error {
 	if err := s.group.Step(ev); err != nil {
 		return s.fail(err)
 	}
-	if !s.mux {
-		if perr := s.group.PredicateErr(sessionPred); perr != nil {
-			return s.fail(fmt.Errorf("stream: %w", perr))
-		}
-	}
-	if serr := s.group.SliceErr(); serr != nil {
-		return s.fail(fmt.Errorf("stream: %w", serr))
-	}
 	if s.spec.MaxWindow > 0 {
 		if hb := s.group.Holdback(); hb > s.spec.MaxWindow {
 			return s.fail(fmt.Errorf("stream: holdback exceeds max window %d (gap in the stream?)", s.spec.MaxWindow))
 		}
-		if w := s.Window(); w > s.spec.MaxWindow {
+		if w := s.group.Window(); w > s.spec.MaxWindow {
 			return s.fail(fmt.Errorf("stream: detector window %d exceeds max window %d (a process is silent?)", w, s.spec.MaxWindow))
 		}
 	}
-	return s.err
+	return nil
 }
 
 // fail latches the session error.
@@ -202,8 +171,8 @@ func (s *Session) fail(err error) error {
 // Flush advances every detector stepped since the last flush (one
 // elimination sweep or closure recomputation per detector, however many
 // events arrived), prunes detector windows and projections below the
-// delivered frontier, and returns the latched Possibly verdict — for a
-// multiplexed session, whether ANY registered predicate has latched.
+// delivered frontier, and returns the latched Possibly verdict: whether
+// ANY registered predicate has latched.
 func (s *Session) Flush() bool {
 	if s.err != nil {
 		return s.possibly
@@ -227,25 +196,11 @@ func (s *Session) Delivered() int64 { return s.group.Delivered() }
 // Holdback returns the number of buffered undeliverable events.
 func (s *Session) Holdback() int { return s.group.Holdback() }
 
-// Window returns the retained detector state size: the live detector
-// window of a single-predicate session, the summed windows (as of the
-// last flush) of a multiplexed one.
-func (s *Session) Window() int {
-	if s.mux {
-		return s.group.Window()
-	}
-	if det := s.group.Detector(sessionPred); det != nil {
-		return det.Window()
-	}
-	return 0
-}
+// Window returns the summed detector windows as of the last Flush.
+func (s *Session) Window() int { return s.group.Window() }
 
 // Flushes returns the number of detector flushes performed.
 func (s *Session) Flushes() int { return s.flushes }
-
-// Sliced reports whether the session maintains an incremental slice in
-// place of retained history.
-func (s *Session) Sliced() bool { return s.spec.Slice }
 
 // SliceRetained returns the events currently held in the slicers'
 // frontiers — the window a sliced session keeps instead of the trace.
@@ -256,18 +211,19 @@ func (s *Session) SliceRetained() int { return s.group.SliceRetained() }
 func (s *Session) SliceCompacted() int64 { return s.group.SliceCompacted() }
 
 // RetainedEvents reports the session's held history, whatever form it
-// takes: the slice frontiers of a sliced session (or of a mux
-// session's sliced registrations) plus the full delivered trace of a
-// retaining one. The engine's retained-events SLO watches this.
+// takes: the frontiers of its sliced registrations plus the full
+// delivered trace of a retaining session. The engine's retained-events
+// SLO watches this.
 func (s *Session) RetainedEvents() int {
 	return s.group.SliceRetained() + len(s.retained)
 }
 
 // Finalize seals the stream: it flushes the detectors, verifies the
-// stream was gapless, and — when a single-predicate spec retained the
-// trace — rebuilds the computation (detect.Rebuild) and decides
-// Definitely with the family's batch route, sequentially. The Possibly
-// verdict in the returned Verdict is exact for the complete
+// stream was gapless, seals the slicers, and decides Definitely for the
+// open predicate when it can — from its slice (Spec.Slice) or, when the
+// trace was retained, by rebuilding the computation (detect.Rebuild)
+// and running the family's batch Definitely route sequentially. The
+// Possibly verdict in the returned Verdict is exact for the complete
 // computation.
 func (s *Session) Finalize() (Verdict, error) {
 	return s.FinalizeTraced(nil)
@@ -276,10 +232,9 @@ func (s *Session) Finalize() (Verdict, error) {
 // FinalizeTraced is Finalize with the close-time work accounted into the
 // trace: the rebuild size and the full work counters of the offline
 // Definitely detectors (region cuts explored, interval eliminations, ...).
-// Before this existed, the close-time Definitely rebuild — the most
-// expensive step a session ever runs, worst-case exponential — was
-// invisible to observability; the engine now routes it into the metrics
-// registry.
+// The close-time Definitely rebuild is the most expensive step a session
+// ever runs (worst-case exponential); the engine routes these counters
+// into the metrics registry.
 func (s *Session) FinalizeTraced(tr *obs.Trace) (Verdict, error) {
 	doneAll := tr.Span("stream.finalize")
 	defer doneAll()
@@ -294,19 +249,19 @@ func (s *Session) FinalizeTraced(tr *obs.Trace) (Verdict, error) {
 	if s.spec.Slice {
 		return s.finalizeSliced(v, tr)
 	}
-	if s.mux {
-		// Seal any sliced registrations' shared slicers so their final
-		// compaction releases the frontiers (and the engine's retained
-		// gauge walks back to zero at close).
-		s.group.SealSlicers()
-		return v, nil
-	}
+	// Sealing runs the slicers' final compaction, so the engine's
+	// retained gauge walks back to zero at close.
+	s.group.SealSlicers()
 	if !s.spec.Retain {
 		return v, nil
 	}
+	ps, err := s.spec.Canonical()
+	if err != nil {
+		return v, s.fail(err)
+	}
 	doneRebuild := tr.Span("stream.rebuild")
 	cfg := detect.Config{Procs: s.spec.Procs, Involved: s.spec.Involved, Init: s.spec.Init}
-	c, ds, err := detect.Rebuild(s.retained, s.ps, cfg)
+	c, ds, err := detect.Rebuild(s.retained, ps, cfg)
 	doneRebuild()
 	if err != nil {
 		return v, s.fail(fmt.Errorf("stream: %w", err))
@@ -341,10 +296,11 @@ func (s *Session) finalizeSliced(v Verdict, tr *obs.Trace) (Verdict, error) {
 	v.SliceCompacted = s.group.SliceCompacted()
 	tr.Add("stream.slice_retained", int64(v.SliceRetained))
 	tr.Add("stream.slice_compacted", v.SliceCompacted)
-	if sl.Possibly() != s.possibly {
-		return v, s.fail(fmt.Errorf("stream: slice verdict %v disagrees with detector verdict %v", sl.Possibly(), s.possibly))
+	open := s.group.Possibly(sessionPred)
+	if sl.Possibly() != open {
+		return v, s.fail(fmt.Errorf("stream: slice verdict %v disagrees with detector verdict %v", sl.Possibly(), open))
 	}
-	if !s.possibly {
+	if !open {
 		v.Definitely, v.DefinitelyKnown = false, true
 		return v, nil
 	}

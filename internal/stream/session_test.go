@@ -3,6 +3,7 @@ package stream
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/distributed-predicates/gpd/internal/computation"
@@ -10,6 +11,7 @@ import (
 	"github.com/distributed-predicates/gpd/internal/core/relsum"
 	"github.com/distributed-predicates/gpd/internal/core/symmetric"
 	"github.com/distributed-predicates/gpd/internal/gen"
+	"github.com/distributed-predicates/gpd/internal/mux"
 	"github.com/distributed-predicates/gpd/internal/pred"
 )
 
@@ -314,4 +316,39 @@ func TestSessionRejects(t *testing.T) {
 			t.Fatal("want error once holdback exceeds MaxWindow")
 		}
 	})
+	// A silent process stops frontier pruning, so the detector window
+	// grows while another process streams in order; past MaxWindow the
+	// session fails naming the window (read as of the last flush),
+	// whether the predicate came with the open or with a register frame.
+	for _, tc := range []struct {
+		name string
+		open Spec
+		reg  string
+	}{
+		{"detector window of the open predicate", Spec{Pred: "sum(x) >= 100", Procs: 2, MaxWindow: 4}, ""},
+		{"detector window of a registered predicate", Spec{Mux: true, Procs: 2, MaxWindow: 4}, "sum(x) >= 100"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewSession(tc.open)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.reg != "" {
+				ps, err := pred.Parse(tc.reg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Register(mux.Registration{ID: "r", Spec: ps}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := int64(1); i <= 16 && err == nil; i++ {
+				err = s.Step(Event{Proc: 0, VC: []int64{i, 0}, Var: "x", Val: i % 2})
+				s.Flush()
+			}
+			if err == nil || !strings.Contains(err.Error(), "detector window") {
+				t.Fatalf("error %v, want the detector-window bound (holdback %d, window %d)", err, s.Holdback(), s.Window())
+			}
+		})
+	}
 }

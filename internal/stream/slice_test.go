@@ -93,8 +93,10 @@ func TestSlicedSessionDefinitely(t *testing.T) {
 	}
 }
 
-// TestSliceSpecValidate pins the spec-level gates: slicing composes with
+// TestSliceSpecValidate pins the open-time gates: slicing composes with
 // nothing that contradicts its memory promise or its regularity premise.
+// Transport conflicts fail Spec.Validate; the regularity premise fails
+// the open predicate's registration, the check register frames get.
 func TestSliceSpecValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -108,7 +110,7 @@ func TestSliceSpecValidate(t *testing.T) {
 		{"mux", Spec{Mux: true, Procs: 2, Slice: true}, "register time"},
 	}
 	for _, tc := range cases {
-		err := tc.spec.Validate()
+		_, err := NewSession(tc.spec)
 		if tc.want == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error: %v", tc.name, err)
@@ -275,14 +277,14 @@ func TestEngineSliceMetrics(t *testing.T) {
 	if err := e.Append("a", evs); err != nil {
 		t.Fatal(err)
 	}
-	st, err := e.Query("a")
+	st, _, err := e.QueryUpdates("a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.SliceRetained == 0 && st.SliceCompacted == 0 {
 		t.Fatalf("mid-stream stats show no slice activity: %+v", st)
 	}
-	v, err := e.CloseSession("a")
+	v, _, err := e.ClosePredicates("a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +325,7 @@ func TestEngineRetainedEventsSLO(t *testing.T) {
 	if err := e.Append("a", evs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Query("a"); err != nil { // forces a publish
+	if _, _, err := e.QueryUpdates("a"); err != nil { // forces a publish
 		t.Fatal(err)
 	}
 	select {

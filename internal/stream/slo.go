@@ -12,8 +12,10 @@ import (
 // SLO rule names: the label values of slo_breaches_total{rule=...} and
 // the identifiers passed to SLOConfig.OnBreach.
 const (
-	// SLOVerdictLatency fires when a session's verdict latches later
-	// than the threshold after the session opened.
+	// SLOVerdictLatency fires when a registration's verdict latches
+	// later than the threshold after it was registered (the open
+	// predicate: after the open) — the duration
+	// stream_verdict_latency_nanos records.
 	SLOVerdictLatency = "verdict_latency"
 	// SLOHoldbackDepth fires when a session's causal holdback queue
 	// grows past the threshold.
@@ -25,8 +27,8 @@ const (
 	// threshold (mailbox overflow plus unknown-session drops).
 	SLOShedFrames = "shed_frames"
 	// SLORegisteredPredicates fires when the engine-wide count of
-	// registered predicates (across every multiplexed session) exceeds
-	// the threshold.
+	// registered predicates (across every session, open predicates
+	// included) exceeds the threshold.
 	SLORegisteredPredicates = "registered_predicates"
 	// SLOTenantCPUShare fires when one tenant's share of the
 	// ledger-attributed CPU exceeds the threshold — the noisy-neighbour
@@ -56,7 +58,8 @@ var sloRules = []string{SLOVerdictLatency, SLOHoldbackDepth, SLOMailboxDepth, SL
 // session, the mailbox rule once per shard, and the shed rule once per
 // engine, so a sustained breach cannot flood the counters or the logs.
 type SLOConfig struct {
-	// VerdictLatency is the open→verdict latching budget per session.
+	// VerdictLatency is the registration→latch budget (open→latch for
+	// the open predicate). Fires at most once per session.
 	VerdictLatency time.Duration
 	// HoldbackDepth is the per-session holdback queue budget in events.
 	HoldbackDepth int
@@ -65,7 +68,7 @@ type SLOConfig struct {
 	// ShedFrames is the engine-wide shed frame budget.
 	ShedFrames uint64
 	// RegisteredPredicates is the engine-wide registered-predicate
-	// budget across multiplexed sessions. Fires at most once per engine.
+	// budget across all sessions. Fires at most once per engine.
 	RegisteredPredicates int
 	// TenantCPUShare is the fraction (0,1] of ledger-attributed CPU one
 	// tenant may hold before the tenant_cpu_share rule fires, at most

@@ -1,16 +1,19 @@
 // Package stream is the online serving subsystem: multi-tenant streaming
 // predicate detection over vector-clock-timestamped event streams.
 //
-// A monitored application instance opens a Session with a predicate Spec
-// and streams its events — every event, not just interesting ones, each
-// carrying the vector timestamp produced by an online vclock.Clock.
-// Sessions deliver events in causal order (holding back out-of-order
-// arrivals) and feed an incremental detector resolved from the detector
-// registry (internal/detect) — any incremental-capable family the
-// registry knows (conjunctive, sum, count, xor, levels, channel
-// occupancy) streams here with no transport changes — latching a
+// A monitored application instance opens a Session and streams its
+// events — every event, not just interesting ones, each carrying the
+// vector timestamp produced by an online vclock.Clock. A session
+// delivers events in causal order once (holding back out-of-order
+// arrivals) in a mux.Group and steps the incremental detectors
+// registered on it, resolved from the detector registry
+// (internal/detect): any incremental-capable family the registry knows
+// (conjunctive, sum, count, xor, levels, channel occupancy) streams here
+// with no transport changes. Each predicate is a registration: the one
+// an open may carry (Spec.Pred, registration "_session") and any number
+// registered and unregistered mid-stream. A registration latches its
 // Possibly verdict the moment some consistent cut of the observed prefix
-// satisfies the predicate. Memory stays bounded by pruning everything
+// satisfies it. Memory stays bounded by pruning everything
 // below the vector-clock frontier common to all processes, in the spirit
 // of Chauhan et al., "A Distributed Abstraction Algorithm for Online
 // Predicate Detection" (arXiv:1304.4326), with incremental maintenance
@@ -23,6 +26,7 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/distributed-predicates/gpd/internal/detect"
@@ -34,7 +38,11 @@ type Spec struct {
 	// Pred is the predicate in the canonical grammar shared with
 	// gpd.ParseSpec and gpddetect (e.g. "all(x)", "sum(x) == 5",
 	// "inflight == 0"). Any incremental-capable family of the detector
-	// registry is accepted. Required unless Mux is set.
+	// registry is accepted. Required unless Mux is set. An open with
+	// Pred is an open plus one registration with the reserved id
+	// "_session", made on the shard inside the open: it sees every event
+	// under raw timestamps, holds one tenant slot, appears in the
+	// query and close fan-out, and its failure fails the session.
 	Pred string `json:"pred,omitempty"`
 	// Procs is the number of processes in the monitored application.
 	Procs int `json:"procs"`
@@ -45,9 +53,9 @@ type Spec struct {
 	Involved []int `json:"involved,omitempty"`
 	// Init gives the initial per-process variable values (sum: the
 	// variable; boolean families — all, count, xor, levels: 0/1 truth).
-	// nil means all zero/false. The initial cut counts like any other
-	// consistent cut: a predicate it satisfies latches at open.
-	// Inflight takes none (occupancy starts at 0).
+	// nil means all zero/false; at most Procs values. The initial cut
+	// counts like any other consistent cut: a predicate it satisfies
+	// latches at open. Inflight takes none (occupancy starts at 0).
 	Init []int64 `json:"init,omitempty"`
 	// Retain keeps the full delivered trace so Close can also decide the
 	// Definitely modality: the family's batch Definitely over the
@@ -66,30 +74,33 @@ type Spec struct {
 	// exceeding it fails rather than grow without bound (a silent or
 	// partitioned process prevents frontier pruning). 0 means no bound.
 	MaxWindow int `json:"max_window,omitempty"`
-	// Mux opens a multiplexed session: no fixed predicate — predicates
-	// are registered and unregistered mid-stream (wire types "register"
-	// and "unregister"), each stepped only on the events its relevance
-	// set touches. Events must tag the variable they update (Event.Var).
-	// Mutually exclusive with Pred and the per-predicate fields
+	// Mux marks an open that carries no predicate: every predicate
+	// arrives later as a register frame. Register and unregister frames
+	// work on any session; Mux only says the open itself registers
+	// nothing. Mutually exclusive with Pred and the per-predicate fields
 	// (Involved, Init, Retain, Slice).
 	Mux bool `json:"mux,omitempty"`
 	// Tenant names the session's owning tenant for cost attribution and
-	// per-tenant metrics; "" means "default". Predicates registered on a
-	// multiplexed session carry their own tenant (RegisterSpec.Tenant) —
-	// this field owns the session-level resources: ingest, delivery,
-	// close-time finalization, wire bytes.
+	// per-tenant metrics; "" means "default". It owns the session-level
+	// resources (ingest, delivery, close-time finalization, wire bytes)
+	// and the open predicate's tenant slot; predicates registered later
+	// carry their own tenant (RegisterSpec.Tenant).
 	Tenant string `json:"tenant,omitempty"`
 }
 
+// errNoPred answers an open that names no predicate and is not marked
+// Mux.
+var errNoPred = errors.New(`stream: spec has no "pred"; the numeric "kind" selector was removed, so give the predicate as a grammar string (e.g. "pred":"all(x)")`)
+
 // Canonical parses the spec's Pred grammar string into the canonical
 // predicate specification shared with gpd.Detect and gpddetect
-// (internal/pred). Stream-transport fields (Procs, Init, Retain,
-// MaxWindow) have no counterpart in the canonical spec and are
-// validated separately by Validate; Involved is checked where it is
-// used, at the mux registration.
+// (internal/pred). Stream-transport fields (Procs, Retain, MaxWindow)
+// have no counterpart in the canonical spec and are validated by
+// Validate; the per-predicate fields (Involved, Init, Slice) are
+// checked by the registration, in mux.Group.Register.
 func (sp Spec) Canonical() (pred.Spec, error) {
 	if sp.Pred == "" {
-		return pred.Spec{}, fmt.Errorf(`stream: spec has no "pred"; the numeric "kind" selector was removed, so give the predicate as a grammar string (e.g. "pred":"all(x)")`)
+		return pred.Spec{}, errNoPred
 	}
 	ps, err := pred.Parse(sp.Pred)
 	if err != nil {
@@ -98,51 +109,32 @@ func (sp Spec) Canonical() (pred.Spec, error) {
 	return ps, nil
 }
 
-// Validate checks the spec for structural errors. Predicate-shape rules
-// (e.g. a non-empty symmetric level set) are enforced by converting to the
-// canonical pred.Spec and validating that, so the wire protocol and the
-// offline surfaces cannot drift apart; only stream-transport fields are
-// checked here.
+// Validate checks the spec's transport fields. Everything about the
+// predicate itself (grammar, shape, involved processes, initial values,
+// slice capability) is checked on the path every registration takes —
+// the grammar parse, then mux.Group.Register — so opens and register
+// frames cannot drift apart.
 func (sp Spec) Validate() error {
 	if sp.Procs < 1 {
 		return fmt.Errorf("stream: spec needs procs >= 1, got %d", sp.Procs)
 	}
-	if sp.Mux {
-		if sp.Pred != "" {
-			return fmt.Errorf("stream: mux sessions carry no fixed predicate; register predicates instead")
-		}
-		if len(sp.Involved) > 0 || len(sp.Init) > 0 || sp.Retain || sp.Slice {
-			return fmt.Errorf("stream: mux sessions take per-predicate options at register time, not in the spec")
-		}
-		if sp.MaxWindow < 0 {
-			return fmt.Errorf("stream: negative max window %d", sp.MaxWindow)
+	if sp.MaxWindow < 0 {
+		return fmt.Errorf("stream: negative max window %d", sp.MaxWindow)
+	}
+	if sp.Retain && sp.Slice {
+		return fmt.Errorf("stream: slice and retain are mutually exclusive; the slice frontier replaces retained history")
+	}
+	if !sp.Mux {
+		if sp.Pred == "" {
+			return errNoPred
 		}
 		return nil
 	}
-	ps, err := sp.Canonical()
-	if err != nil {
-		return err
+	if sp.Pred != "" {
+		return fmt.Errorf("stream: mux sessions carry no fixed predicate; register predicates instead")
 	}
-	if err := ps.Validate(sp.Procs); err != nil {
-		return fmt.Errorf("stream: %w", err)
-	}
-	if ps.Family == pred.InFlight && len(sp.Init) > 0 {
-		return fmt.Errorf("stream: inflight sessions take no initial values (occupancy starts at 0)")
-	}
-	if sp.Slice {
-		if sp.Retain {
-			return fmt.Errorf("stream: slice and retain are mutually exclusive; the slice frontier replaces retained history")
-		}
-		entry, ok := detect.Lookup(ps.Family, detect.ModalityPossibly)
-		if !ok || !entry.Caps.Sliceable || entry.Caps.Payload != detect.PayloadTruth {
-			return fmt.Errorf("stream: slice sessions need a regular truth-payload predicate family; %v is not (use all(var))", ps.Family)
-		}
-	}
-	if len(sp.Init) > sp.Procs {
-		return fmt.Errorf("stream: %d initial values for %d processes", len(sp.Init), sp.Procs)
-	}
-	if sp.MaxWindow < 0 {
-		return fmt.Errorf("stream: negative max window %d", sp.MaxWindow)
+	if len(sp.Involved) > 0 || len(sp.Init) > 0 || sp.Retain || sp.Slice {
+		return fmt.Errorf("stream: mux sessions take per-predicate options at register time, not in the spec")
 	}
 	return nil
 }

@@ -18,7 +18,8 @@ type SessionStats struct {
 	Possibly  bool   `json:"possibly"`  // latched verdict
 	Error     string `json:"error,omitempty"`
 
-	// Multiplexed sessions only: predicate counts and routing economy.
+	// Predicate counts and routing economy (every registration, the open
+	// predicate included).
 	Registered int   `json:"registered,omitempty"` // predicates registered
 	Active     int   `json:"active,omitempty"`     // predicates still stepping
 	Steps      int64 `json:"steps,omitempty"`      // detector steps taken
@@ -51,8 +52,8 @@ type Snapshot struct {
 	Dropped    uint64         `json:"dropped"`    // total dropped frames
 	Detections uint64         `json:"detections"` // total latched verdicts
 
-	// Multiplexing control plane: predicates currently registered across
-	// every multiplexed session, total and per tenant.
+	// Control plane: predicates currently registered across every
+	// session (open predicates included), total and per tenant.
 	Predicates int            `json:"predicates,omitempty"`
 	Tenants    map[string]int `json:"tenants,omitempty"`
 }

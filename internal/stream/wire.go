@@ -8,6 +8,7 @@ import (
 	"io"
 
 	"github.com/distributed-predicates/gpd/internal/mux"
+	"github.com/distributed-predicates/gpd/internal/pred"
 )
 
 // Wire protocol: length-prefixed JSON frames over TCP. Each frame is a
@@ -39,20 +40,21 @@ type Request struct {
 	Spec    *Spec   `json:"spec,omitempty"`   // open
 	Events  []Event `json:"events,omitempty"` // append
 
-	// Register carries the predicate to attach to an open multiplexed
-	// session (type "register"); Predicate names the one to detach
-	// (type "unregister").
+	// Register carries the predicate to attach to an open session (type
+	// "register"); Predicate names the one to detach (type
+	// "unregister").
 	Register  *RegisterSpec `json:"register,omitempty"`
 	Predicate string        `json:"predicate,omitempty"`
 }
 
 // RegisterSpec is the wire form of a predicate registration on a
-// multiplexed session: who owns it, what it detects, and optionally the
-// initial per-process values when the registration cut's seeded state
-// should be overridden.
+// session: who owns it, what it detects, and optionally the initial
+// per-process values when the registration cut's seeded state should be
+// overridden.
 type RegisterSpec struct {
 	// ID names the predicate within its session; update fan-out and
-	// unregister refer to it.
+	// unregister refer to it. "_session" is reserved for the predicate
+	// the session was opened with.
 	ID string `json:"id"`
 	// Tenant is the owning tenant for accounting and per-tenant limits
 	// ("" means "default").
@@ -64,8 +66,8 @@ type RegisterSpec struct {
 	// means all.
 	Involved []int `json:"involved,omitempty"`
 	// Init overrides the seeded initial per-process values (sum: the
-	// variable; boolean families: 0/1 truth). nil seeds from the last
-	// delivered values at the registration cut.
+	// variable; boolean families: 0/1 truth), at most one per process.
+	// nil seeds from the last delivered values at the registration cut.
 	Init []int64 `json:"init,omitempty"`
 	// Slice maintains the predicate's incremental slice alongside its
 	// detector: predicates sharing a variable share one compacting
@@ -73,6 +75,17 @@ type RegisterSpec struct {
 	// families only (all(var)); must be registered before the session's
 	// first event.
 	Slice bool `json:"slice,omitempty"`
+}
+
+// registration parses the predicate grammar into the group's
+// registration form. The open predicate and register frames both take
+// this path into mux.Group.Register.
+func (r RegisterSpec) registration() (mux.Registration, error) {
+	ps, err := pred.Parse(r.Pred)
+	if err != nil {
+		return mux.Registration{}, fmt.Errorf("stream: %w", err)
+	}
+	return mux.Registration{ID: r.ID, Tenant: r.Tenant, Spec: ps, Involved: r.Involved, Init: r.Init, Slice: r.Slice}, nil
 }
 
 // Response is the server's reply to each request frame.
@@ -85,9 +98,9 @@ type Response struct {
 	Stats    *SessionStats `json:"stats,omitempty"`    // query
 
 	// Updates carries the per-predicate verdict updates drained since
-	// the previous drain (query and register replies on multiplexed
-	// sessions); Predicates is the close-time fan-out: the final state
-	// of every still-registered predicate.
+	// the previous drain (query and register replies); Predicates is the
+	// close-time fan-out: the final state of every still-registered
+	// predicate, the open one ("_session") included.
 	Updates    []mux.Update `json:"updates,omitempty"`
 	Predicates []mux.Update `json:"predicates,omitempty"`
 }

@@ -133,6 +133,12 @@ type Event struct {
 	Var string `json:"var,omitempty"`
 }
 
+// Reads reports whether the event moves variable v in a stream whose
+// untagged events update v (the one variable of a single-predicate
+// stream): it is tagged v or untagged. An event of another variable
+// leaves v as it was on the event's process.
+func (ev Event) Reads(v string) bool { return ev.Var == "" || ev.Var == v }
+
 // InFlightVar is the reserved variable tag of channel-occupancy events
 // in multiplexed streams — the same keyword the predicate grammar uses
 // for the inflight family.

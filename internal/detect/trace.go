@@ -100,6 +100,12 @@ func linearize(c *computation.Computation, s pred.Spec) ([]Event, Config) {
 //     deltas, starting at zero. Channel occupancy at a consistent cut is
 //     the sum of those running sums, so the returned spec decides it as
 //     sum(inflight) with the same relation.
+//
+// Only events that read the spec's variable (Event.Reads; inflight's
+// variable is InFlightVar) move the payload; an event tagged with
+// another variable keeps its process's value, so the trace of a session
+// that also carries other variables' events rebuilds the same
+// computation for this one.
 func Rebuild(events []Event, s pred.Spec, cfg Config) (*computation.Computation, pred.Spec, error) {
 	payload := payloadOf(s.Family)
 	if payload == PayloadNone {
@@ -147,10 +153,11 @@ func Rebuild(events []Event, s pred.Spec, cfg Config) (*computation.Computation,
 				}
 			}
 		}
-		switch payload {
-		case PayloadDelta:
+		switch {
+		case !ev.Reads(s.Var): // another variable's event: the value carries over
+		case payload == PayloadDelta:
 			run[p] += ev.Val
-		case PayloadTruth:
+		case payload == PayloadTruth:
 			run[p] = 0
 			if ev.Truth || fixed[p] {
 				run[p] = 1

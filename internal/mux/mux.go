@@ -31,7 +31,10 @@ type Registration struct {
 	// raw timestamps — the registration of the predicate a session is
 	// opened with. It bypasses the relevance index, is never
 	// latch-stopped, and a step failure latches the group's sticky error
-	// (Step returns it) instead of failing the predicate alone.
+	// (Step returns it) instead of failing the predicate alone. Only
+	// events that read its variable (detect.Event.Reads: tagged with it,
+	// or untagged) move its payload; on an event of another variable
+	// the process's last value carries forward.
 	AllEvents bool
 	// Slice maintains the predicate's incremental slice alongside its
 	// detector: the group feeds relevance-filtered events into a shared
@@ -75,7 +78,8 @@ type predicate struct {
 	routeVar   string // "" for all-events registrations
 	procSet    []bool // the involved processes; nil = all
 	all        bool
-	sliced     bool // holds a reference on the routeVar's shared slicer
+	sliced     bool       // holds a reference on the routeVar's shared slicer
+	filter     *varFilter // all-events predicates only
 
 	seq      int64
 	possibly bool
@@ -173,12 +177,13 @@ func (g *Group) Register(r Registration) error {
 		return fmt.Errorf("mux: predicate %q cannot maintain a slice: %w", r.ID,
 			&slicing.NotRegularError{Detail: fmt.Sprintf("family %v is not a regular truth-payload family", r.Spec.Family)})
 	}
-	routeVar := ""
-	if !r.AllEvents {
-		routeVar = r.Spec.Var
-		if r.Spec.Family == pred.InFlight {
-			routeVar = detect.InFlightVar
-		}
+	v := r.Spec.Var
+	if r.Spec.Family == pred.InFlight {
+		v = detect.InFlightVar
+	}
+	routeVar := v
+	if r.AllEvents {
+		routeVar = ""
 	}
 	init := r.Init
 	if init == nil && routeVar != "" {
@@ -193,7 +198,7 @@ func (g *Group) Register(r Registration) error {
 		return fmt.Errorf("mux: %w", err)
 	}
 	if r.Slice {
-		if err := g.AttachSlicer(routeVar, procSet, init); err != nil {
+		if err := g.AttachSlicer(routeVar, v, procSet, init); err != nil {
 			return err
 		}
 	}
@@ -213,6 +218,12 @@ func (g *Group) Register(r Registration) error {
 	}
 	if !p.all {
 		p.procSet = procSet
+	} else {
+		p.filter = &varFilter{v: v, payload: entry.Caps.Payload}
+		if p.filter.payload != detect.PayloadDelta {
+			p.filter.carry = make([]int64, g.procs)
+			copy(p.filter.carry, init)
+		}
 	}
 	g.preds[r.ID] = p
 	g.tenants[tenant]++
@@ -383,7 +394,7 @@ func (g *Group) deliver(ev detect.Event) {
 			continue
 		}
 		stepped++
-		g.stepPred(p, ev)
+		g.stepPred(p, p.filter.read(ev))
 	}
 	if subs := g.byVar[ev.Var]; len(subs) > 0 {
 		pe := ev
@@ -398,6 +409,42 @@ func (g *Group) deliver(ev detect.Event) {
 	}
 	g.steps += int64(stepped)
 	g.skipped += int64(g.active - stepped)
+}
+
+// varFilter is the variable filter of an all-events predicate. The
+// predicate steps on every event (its raw timestamps need each
+// process's full local order), but only an event that reads its
+// variable moves the payload; an event of another variable carries the
+// process's last value forward, or contributes no delta.
+type varFilter struct {
+	v       string         // the variable whose payload the predicate reads
+	payload detect.Payload // the payload field its detector consumes
+	carry   []int64        // last value/truth per process; nil for delta payloads
+}
+
+// read applies the filter to one event.
+func (f *varFilter) read(ev detect.Event) detect.Event {
+	if ev.Reads(f.v) {
+		switch f.payload {
+		case detect.PayloadValue:
+			f.carry[ev.Proc] = ev.Val
+		case detect.PayloadTruth:
+			f.carry[ev.Proc] = 0
+			if ev.Truth {
+				f.carry[ev.Proc] = 1
+			}
+		}
+		return ev
+	}
+	switch f.payload {
+	case detect.PayloadValue:
+		ev.Val = f.carry[ev.Proc]
+	case detect.PayloadTruth:
+		ev.Truth = f.carry[ev.Proc] != 0
+	default:
+		ev.Val = 0
+	}
+	return ev
 }
 
 // stepPred feeds one event to one predicate's detector. A failing

@@ -5,8 +5,9 @@ package mux
 // delivered event is observed by every attached slicer — the slicer
 // needs each process's full local order to keep its clocks aligned —
 // but the truth it records is relevance-filtered: only events tagged
-// with the slicer's variable move the predicate's truth, everything
-// else carries the process's last value forward. Predicates on the same
+// with the slicer's variable (or untagged, for the slicer of an
+// all-events registration) move the predicate's truth, everything else
+// carries the process's last value forward. Predicates on the same
 // variable share one slicer, so the retained frontier is paid once per
 // variable, not once per predicate.
 
@@ -22,7 +23,8 @@ import (
 // state.
 type groupSlicer struct {
 	sl       *slicing.IncrementalSlicer
-	routeVar string // "" = every event carries the truth (all-events sessions)
+	routeVar string // "" for the slicer of an all-events registration
+	v        string // the variable whose truth it records
 	involved []bool // nil = every process carries a conjunct
 	initial  []bool // the variable's initial truth per process
 	last     []bool // carried-forward truth per process
@@ -33,7 +35,7 @@ type groupSlicer struct {
 // relevance filter.
 func (gs *groupSlicer) observe(ev detect.Event) error {
 	truth := gs.last[ev.Proc]
-	if gs.routeVar == "" || ev.Var == gs.routeVar {
+	if ev.Var == gs.v || (gs.routeVar == "" && ev.Reads(gs.v)) {
 		truth = ev.Truth
 		gs.last[ev.Proc] = truth
 	}
@@ -86,11 +88,13 @@ func sameBools(a, b []bool) bool {
 // incremental slicer for one variable. The slicer must see the stream
 // from its start — each process's full local order is what keeps its
 // clocks aligned — so attachment is only legal before any event has
-// arrived. involved is the involved-process set (nil = all) and init
+// arrived. routeVar keys the slicer ("" for an all-events registration,
+// which also records untagged events), v is the variable whose truth it
+// records, involved is the involved-process set (nil = all) and init
 // the initial values (nil = all false); predicates sharing a variable
 // must agree on both, and a second attachment that differs is rejected
 // rather than silently widened.
-func (g *Group) AttachSlicer(routeVar string, involved []bool, init []int64) error {
+func (g *Group) AttachSlicer(routeVar, v string, involved []bool, init []int64) error {
 	if g.delivery.Delivered() > 0 || g.delivery.Holdback() > 0 {
 		return fmt.Errorf("mux: slicers attach before any events; %d already delivered", g.delivery.Delivered())
 	}
@@ -116,6 +120,7 @@ func (g *Group) AttachSlicer(routeVar string, involved []bool, init []int64) err
 	g.slicers[routeVar] = &groupSlicer{
 		sl:       slicing.NewIncrementalSlicer(g.procs, initial),
 		routeVar: routeVar,
+		v:        v,
 		involved: involved,
 		initial:  truth,
 		last:     append([]bool(nil), truth...),

@@ -19,8 +19,10 @@ const sessionPred = "_session"
 //
 //   - Each predicate is a registration. An open with Spec.Pred is an
 //     open plus one all-events registration with id "_session": its
-//     detector sees every event under raw timestamps, and its failure
-//     fails the session. Predicates registered later are stepped only
+//     detector steps on every event under raw timestamps, but only an
+//     event tagged with its variable, or untagged, moves its payload
+//     (in its slice and retained trace too); its failure fails the
+//     session. Predicates registered later are stepped only
 //     on the events their relevance set touches, under projected
 //     timestamps (events must tag the variable they update, Event.Var),
 //     and a failure fails only that predicate's update stream.
@@ -139,9 +141,9 @@ func (s *Session) Tenants() map[string]int { return s.group.Tenants() }
 // order; arbitrary interleaving (even causal reordering) across processes
 // is handled by the holdback buffer. Returns the session's sticky error,
 // if any: the group's (delivery, the open predicate's detector, slice
-// maintenance) or a MaxWindow breach. A registered predicate's failure
-// is not a session error — it surfaces in that predicate's update
-// stream.
+// maintenance) or a MaxWindow breach of the holdback or, as of the last
+// flush, of the detector window. A registered predicate's failure is
+// not a session error — it surfaces in that predicate's update stream.
 //
 //lint:hotpath
 func (s *Session) Step(ev Event) error {
@@ -151,13 +153,8 @@ func (s *Session) Step(ev Event) error {
 	if err := s.group.Step(ev); err != nil {
 		return s.fail(err)
 	}
-	if s.spec.MaxWindow > 0 {
-		if hb := s.group.Holdback(); hb > s.spec.MaxWindow {
-			return s.fail(fmt.Errorf("stream: holdback exceeds max window %d (gap in the stream?)", s.spec.MaxWindow))
-		}
-		if w := s.group.Window(); w > s.spec.MaxWindow {
-			return s.fail(fmt.Errorf("stream: detector window %d exceeds max window %d (a process is silent?)", w, s.spec.MaxWindow))
-		}
+	if s.spec.MaxWindow > 0 && s.group.Holdback() > s.spec.MaxWindow {
+		return s.fail(fmt.Errorf("stream: holdback exceeds max window %d (gap in the stream?)", s.spec.MaxWindow))
 	}
 	return nil
 }
@@ -172,7 +169,9 @@ func (s *Session) fail(err error) error {
 // elimination sweep or closure recomputation per detector, however many
 // events arrived), prunes detector windows and projections below the
 // delivered frontier, and returns the latched Possibly verdict: whether
-// ANY registered predicate has latched.
+// ANY registered predicate has latched. The detector windows are
+// refreshed here, so this is where a MaxWindow breach of the summed
+// window fails the session.
 func (s *Session) Flush() bool {
 	if s.err != nil {
 		return s.possibly
@@ -180,6 +179,9 @@ func (s *Session) Flush() bool {
 	s.flushes++
 	if s.group.Flush() {
 		s.possibly = true
+	}
+	if w := s.group.Window(); s.spec.MaxWindow > 0 && w > s.spec.MaxWindow {
+		s.fail(fmt.Errorf("stream: detector window %d exceeds max window %d (a process is silent?)", w, s.spec.MaxWindow))
 	}
 	return s.possibly
 }

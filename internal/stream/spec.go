@@ -40,9 +40,11 @@ type Spec struct {
 	// "inflight == 0"). Any incremental-capable family of the detector
 	// registry is accepted. Required unless Mux is set. An open with
 	// Pred is an open plus one registration with the reserved id
-	// "_session", made on the shard inside the open: it sees every event
-	// under raw timestamps, holds one tenant slot, appears in the
-	// query and close fan-out, and its failure fails the session.
+	// "_session", made on the shard inside the open: it steps on every
+	// event under raw timestamps, reading the payload only of events
+	// tagged with its variable or untagged, holds one tenant slot,
+	// appears in the query and close fan-out, and its failure fails
+	// the session.
 	Pred string `json:"pred,omitempty"`
 	// Procs is the number of processes in the monitored application.
 	Procs int `json:"procs"`
